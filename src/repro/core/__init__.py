@@ -28,7 +28,6 @@ from .parallel import (
     DEFAULT_CHUNKSIZE,
     ExperimentPool,
     ScheduledExperiment,
-    SweepPool,
     WorkerContext,
 )
 from .instrument import Instrumentor, instrument_module
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_CHUNKSIZE",
     "ExperimentPool",
     "ScheduledExperiment",
-    "SweepPool",
     "WorkerContext",
     "ADDRESS",
     "CONTROL",

@@ -10,8 +10,8 @@ or until ``max_campaigns``.
 Each experiment draws a program input at random from the workload's
 predefined input space (§IV-B) via the caller-supplied ``runner_factory``.
 
-With ``jobs > 1`` and a :class:`~repro.core.parallel.WorkerContext`, the
-faulty runs fan out over a worker pool while the parent pre-draws the
+Given a ``pool=`` (a cell of a :class:`~repro.core.parallel.ExperimentPool`),
+the faulty runs fan out over its workers while the parent still draws the
 schedule with the same ``Random(seed)`` stream — results are bit-identical
 to serial execution at any job count.
 """
@@ -26,14 +26,9 @@ from typing import Callable
 import queue
 
 from ..analysis.stats import RateEstimate, estimate_rate, is_near_normal, margin_of_error
-from .injector import BindingsFactory, FaultInjector, Runner
+from .injector import BindingsFactory, FaultInjector, GoldenRun, Runner
 from .outcomes import ExperimentResult, Outcome
-from .parallel import (
-    ExperimentPool,
-    WorkerContext,
-    draw_experiment,
-    make_schedule_entry,
-)
+from .parallel import draw_experiment, schedule_entry
 
 
 @dataclass
@@ -155,26 +150,48 @@ class CampaignSummary:
         return len(self.campaigns)
 
 
-def _campaign_results_serial(
-    injector: FaultInjector,
-    runner_factory: Callable[[Random], Runner],
-    count: int,
-    rng: Random,
-    bindings_factory: BindingsFactory | None,
-    recorder=None,
-    shard=None,
+class _Storeless:
+    """The recorder of a storeless run: nothing is stored, so nothing
+    replays and every drawn experiment executes."""
+
+    def claim(self, k, bit, params):
+        return None, None
+
+    def replay(self, key):
+        return None
+
+    def record(self, key, seq, k, bit, params, result):
+        pass
+
+
+_STORELESS = _Storeless()
+
+
+@dataclass
+class _Draw:
+    """One drawn schedule position, as the consumers see it."""
+
+    runner: Runner
+    golden: GoldenRun
+    k: int
+    bit: int
+    params: dict | None
+    key: str | None
+    seq: int | None
+    stored: ExperimentResult | None
+
+
+def _draw_schedule(
+    injector, runner_factory, count, rng, bindings_factory, recorder, shard
 ):
-    if recorder is None:
-        for _ in range(count):
-            runner = runner_factory(rng)
-            yield injector.experiment(runner, rng, bindings_factory=bindings_factory)
-        return
-    # Store-recorded path: draw the schedule triple first (identical RNG
-    # consumption to injector.experiment), so a completed experiment can be
-    # replayed from the store without its faulty run ever executing.  A
-    # shard run draws *every* position — the schedule is one RNG stream, so
-    # skipping a draw would shift every later shard's triples — but only
-    # executes the positions its stripe owns.
+    """Draw ``count`` experiments in serial RNG order — the one schedule.
+
+    Every position is drawn, claimed and looked up in the store here, in
+    the parent, whether its faulty run then executes inline or in a pool
+    worker.  A shard run draws *every* position — the schedule is one RNG
+    stream, so skipping a draw would shift every later shard's triples —
+    but yields only the positions its stripe owns.
+    """
     for _ in range(count):
         runner = runner_factory(rng)
         golden, k, bit = draw_experiment(injector, runner, rng, bindings_factory)
@@ -182,85 +199,68 @@ def _campaign_results_serial(
         key, seq = recorder.claim(k, bit, params)
         if shard is not None and not shard.owns(seq):
             continue
-        stored = recorder.replay(key)
-        if stored is not None:
-            yield stored
+        yield _Draw(runner, golden, k, bit, params, key, seq, recorder.replay(key))
+
+
+def _run_inline(injector, draws, bindings_factory, recorder):
+    for d in draws:
+        if d.stored is not None:
+            yield d.stored
             continue
         result = injector.faulty(
-            runner, golden, k, bit=bit, bindings_factory=bindings_factory
+            d.runner, d.golden, d.k, bit=d.bit, bindings_factory=bindings_factory
         )
-        recorder.record(key, seq, k, bit, params, result)
+        recorder.record(d.key, d.seq, d.k, d.bit, d.params, result)
         yield result
 
 
-def _campaign_results_parallel(
-    injector: FaultInjector,
-    runner_factory: Callable[[Random], Runner],
-    count: int,
-    rng: Random,
-    bindings_factory: BindingsFactory | None,
-    pool: ExperimentPool,
-    recorder=None,
-    shard=None,
-):
-    if recorder is None:
-
-        def schedule():
-            for _ in range(count):
-                runner = runner_factory(rng)
-                yield make_schedule_entry(injector, runner, rng, bindings_factory)
-
-        # imap keeps the parent drawing goldens while workers run faulty
-        # halves, and returns results in schedule order — determinism needs
-        # the order, not the timing.
-        yield from pool.imap(schedule())
-        return
-
-    # Store-recorded path.  The pool's task-handler thread consumes the
-    # schedule generator, so stored/pending decisions are relayed to this
-    # (consuming) side through an in-order queue: "stored" entries never
-    # reach the workers, "run" entries are executed and recorded as their
-    # results stream back — still in schedule order, still bit-identical.
+def _run_pooled(pool, draws, recorder):
+    # The pool's task-handler thread consumes the schedule generator, so
+    # each draw is relayed to this (consuming) side through an in-order
+    # queue: stored draws never reach the workers, the rest are executed
+    # and recorded as their results stream back — still in schedule order,
+    # still bit-identical.
     plan: queue.SimpleQueue = queue.SimpleQueue()
 
     def schedule():
         try:
-            for _ in range(count):
-                runner = runner_factory(rng)
-                entry = make_schedule_entry(injector, runner, rng, bindings_factory)
-                key, seq = recorder.claim(entry.k, entry.bit, entry.params)
-                if shard is not None and not shard.owns(seq):
-                    # Drawn (the RNG stream must advance identically on
-                    # every shard) but owned by another stripe: never
-                    # reaches the workers, never yields a result.
-                    plan.put(("skip", None, None))
+            for d in draws:
+                if d.stored is not None:
+                    plan.put(d)
                     continue
-                stored = recorder.replay(key)
-                if stored is not None:
-                    plan.put(("stored", stored, None))
-                else:
-                    plan.put(("run", key, (seq, entry)))
-                    yield entry
+                entry = schedule_entry(d.params, d.golden, d.k, d.bit)
+                plan.put(d)
+                yield entry
         except BaseException as exc:
             # The pool would surface this through next(results) eventually,
             # but the consumer may be blocked on the plan queue first.
-            plan.put(("error", exc, None))
+            plan.put(exc)
             raise
+        plan.put(None)
 
     results = pool.imap(schedule())
-    for _ in range(count):
-        kind, payload, meta = plan.get()
-        if kind == "error":
-            raise payload
-        if kind == "skip":
-            continue
-        if kind == "stored":
-            yield payload
+    while (d := plan.get()) is not None:
+        if isinstance(d, BaseException):
+            raise d
+        if d.stored is not None:
+            yield d.stored
             continue
         result = next(results)
-        seq, entry = meta
-        recorder.record(payload, seq, entry.k, entry.bit, entry.params, result)
+        recorder.record(d.key, d.seq, d.k, d.bit, d.params, result)
         yield result
+
+
+def _results(
+    injector, runner_factory, count, rng, bindings_factory, pool, recorder, shard
+):
+    """One block of ``count`` experiments' results, in schedule order."""
+    recorder = recorder if recorder is not None else _STORELESS
+    draws = _draw_schedule(
+        injector, runner_factory, count, rng, bindings_factory, recorder, shard
+    )
+    if pool is None:
+        return _run_inline(injector, draws, bindings_factory, recorder)
+    return _run_pooled(pool, draws, recorder)
 
 
 def run_batch(
@@ -269,8 +269,6 @@ def run_batch(
     count: int,
     rng: Random,
     bindings_factory: BindingsFactory | None = None,
-    jobs: int = 1,
-    worker_context: WorkerContext | None = None,
     pool=None,
     recorder=None,
     shard=None,
@@ -278,39 +276,18 @@ def run_batch(
     """Run ``count`` experiments into one :class:`CampaignStats` block.
 
     The flat (no convergence loop) driver used by the Fig. 12 detector
-    study; honors the same serial/parallel split as :func:`run_campaigns`.
-    An externally owned ``pool`` (e.g. a :class:`SweepPool` cell view)
-    takes precedence over spawning one here and is left open on return.
-    A ``recorder`` (:meth:`repro.store.CampaignStore.recorder`) streams
-    every result into a durable store and replays already-stored
-    experiments instead of executing them — bit-identical either way.
-    A ``shard`` (:class:`~repro.store.ShardSpec`, recorder required) draws
-    the full schedule but executes/records only its stripe of it.
+    study; takes the same ``pool``/``recorder``/``shard`` as
+    :func:`run_campaigns`.
     """
     if shard is not None and recorder is None:
         raise ValueError("run_batch(shard=...) requires a recorder")
     stats = CampaignStats()
     try:
-        if pool is not None:
-            for result in _campaign_results_parallel(
-                injector, runner_factory, count, rng, bindings_factory, pool,
-                recorder, shard,
-            ):
-                stats.add(result)
-        elif jobs > 1 and worker_context is not None:
-            with ExperimentPool(jobs, worker_context) as own_pool:
-                for result in _campaign_results_parallel(
-                    injector, runner_factory, count, rng, bindings_factory,
-                    own_pool, recorder, shard,
-                ):
-                    stats.add(result)
-                own_pool.close()
-        else:
-            for result in _campaign_results_serial(
-                injector, runner_factory, count, rng, bindings_factory,
-                recorder, shard,
-            ):
-                stats.add(result)
+        for result in _results(
+            injector, runner_factory, count, rng, bindings_factory, pool,
+            recorder, shard,
+        ):
+            stats.add(result)
     finally:
         if recorder is not None:
             recorder.store.flush()
@@ -325,8 +302,6 @@ def run_campaigns(
     config: CampaignConfig | None = None,
     seed: int = 0,
     bindings_factory: BindingsFactory | None = None,
-    jobs: int = 1,
-    worker_context: WorkerContext | None = None,
     pool=None,
     recorder=None,
     shard=None,
@@ -334,12 +309,11 @@ def run_campaigns(
     """Run fault-injection campaigns to statistical convergence.
 
     ``runner_factory(rng)`` must return a *deterministic* runner for a
-    randomly drawn input (the rng is only used for the draw).  With
-    ``jobs > 1`` a ``worker_context`` is required; the summary is then
-    bit-identical to ``jobs=1`` with the same seed.  An externally owned
-    ``pool`` (e.g. a :class:`~repro.core.parallel.SweepPool` cell view)
-    takes precedence and is left open on return — sweeps share one pool
-    across all their cells instead of re-forking per cell.
+    randomly drawn input (the rng is only used for the draw).  A ``pool``
+    (an :meth:`ExperimentPool.cell <repro.core.parallel.ExperimentPool.cell>`
+    view) runs the faulty halves in its workers; the summary is then
+    bit-identical to a serial run with the same seed.  The caller owns the
+    pool, so a sweep shares one across all its cells.
 
     A ``recorder`` (built by :meth:`repro.store.CampaignStore.recorder`)
     journals every experiment to a durable store as it completes and
@@ -365,41 +339,13 @@ def run_campaigns(
     sdc_samples: list[float] = []
     converged = False
 
-    owns_pool = False
-    if pool is None and jobs > 1:
-        if worker_context is None:
-            raise ValueError(
-                "run_campaigns(jobs>1) needs a worker_context; build one via "
-                "experiments.common.campaign_worker_context or core.parallel"
-            )
-        pool = ExperimentPool(jobs, worker_context)
-        owns_pool = True
-
     try:
         while len(campaigns) < config.max_campaigns:
             stats = CampaignStats()
-            if pool is not None:
-                results = _campaign_results_parallel(
-                    injector,
-                    runner_factory,
-                    config.experiments_per_campaign,
-                    rng,
-                    bindings_factory,
-                    pool,
-                    recorder,
-                    shard,
-                )
-            else:
-                results = _campaign_results_serial(
-                    injector,
-                    runner_factory,
-                    config.experiments_per_campaign,
-                    rng,
-                    bindings_factory,
-                    recorder,
-                    shard,
-                )
-            for result in results:
+            for result in _results(
+                injector, runner_factory, config.experiments_per_campaign,
+                rng, bindings_factory, pool, recorder, shard,
+            ):
                 stats.add(result)
             totals.merge(stats)
             campaigns.append(stats)
@@ -412,8 +358,6 @@ def run_campaigns(
                     converged = True
                     break
     finally:
-        if owns_pool:
-            pool.close()
         if recorder is not None:
             # Whatever happened — convergence, a crash, a deliberate abort —
             # land every journaled record before control leaves.

@@ -5,7 +5,7 @@ process, its own store directory (``<parent>/shard-<i>/``), its own
 worker pool if the driver asks for one — nothing shared with its siblings
 but the read-only campaign definition.  The orchestrator forks them
 (non-daemonic, so a shard may spawn its own :class:`~repro.core.parallel.
-SweepPool`), collects per-shard wall times and counters over a pipe,
+ExperimentPool`), collects per-shard wall times and counters over a pipe,
 merges the shard journals with :func:`repro.store.merge.merge_shards`,
 and rebuilds results from the merged journal alone — exactly the workflow
 N independent hosts would follow with a shared filesystem, minus the

@@ -9,12 +9,15 @@ recorded site width — exactly the serial draw order), and workers only
 execute the faulty halves.  Results come back in schedule order, so a
 campaign summary is bit-identical to serial execution at any ``--jobs``.
 
-Workers are initialized once per process with a :class:`WorkerContext`: the
-pristine module travels pickled, and each worker rebuilds its own
-:class:`~repro.core.injector.FaultInjector` from it (instrumentation is
-deterministic, so site ids agree with the parent's).  Golden runs stay in
-the parent where the input-keyed cache lives; with ``Pool.imap`` over a lazy
-schedule generator they overlap with worker faulty runs.
+One :class:`ExperimentPool` serves every kind of caller.  Each worker keeps
+one dict of engines keyed like the tasks it receives: a sweep hands the
+pool every cell's :class:`WorkerContext` up front and workers build those
+engines at fork (the pristine module travels with the fork; instrumentation
+is deterministic, so site ids agree with the parent's), while a service
+keys tasks by :class:`EngineSpec` and workers build each spec's engine on
+its first task, then keep it warm.  Golden runs stay in the parent where
+the input-keyed cache lives; with ``Pool.imap`` over a lazy schedule
+generator they overlap with worker faulty runs.
 """
 
 from __future__ import annotations
@@ -44,6 +47,45 @@ class WorkerContext:
     bindings_factory_maker: Callable[[], BindingsFactory] | None = None
 
 
+@dataclass(frozen=True)
+class EngineSpec:
+    """A by-name recipe for one campaign cell's execution engine.
+
+    Unlike :class:`WorkerContext` — which ships the pickled module itself —
+    a spec is a few strings: workers rebuild the module by compiling the
+    named registry workload locally (compilation and site enumeration are
+    deterministic, so the rebuilt engine is bit-identical to the parent's).
+    That makes specs cheap enough to ride along with *every* task, which is
+    what lets one persistent pool serve campaigns that did not exist when
+    the pool forked: a worker receiving a spec it has never seen builds the
+    engine once, caches it, and every later campaign on the same spec —
+    any tenant, any seed — reuses it warm.
+    """
+
+    workload: str
+    target: str
+    category: str
+    engine: str = "direct"
+    step_limit: int = 2_000_000
+
+    def build(self) -> FaultInjector:
+        """Build and warm the engine this spec names.
+
+        The one recipe for both sides of a service: the parent's engine
+        cache and every pool worker call it, so they cannot disagree.
+        """
+        from ..workloads.registry import get_workload
+
+        injector = FaultInjector(
+            get_workload(self.workload).compile(self.target),
+            category=self.category,
+            step_limit=self.step_limit,
+            engine=self.engine,
+        )
+        injector.warm()
+        return injector
+
+
 @dataclass
 class ScheduledExperiment:
     """One pre-drawn experiment: rebuild the runner, flip, classify."""
@@ -61,13 +103,13 @@ class ScheduledExperiment:
 #: keeps the pipeline full without delaying the in-order result stream.
 DEFAULT_CHUNKSIZE = 4
 
+
 class _WorkerEngine:
     """One worker process's execution state for one campaign cell.
 
-    Built exactly once per (worker, cell) — at fork for single-cell pools
-    and for every cell of a sweep (:func:`_init_sweep_worker`), so no task
-    ever pays injector construction or module re-decode.  Checkpoint tapes
-    are process-local (register files are keyed by live IR instruction
+    Built exactly once per (worker, cell key), so no task ever pays
+    injector construction or module re-decode.  Checkpoint tapes are
+    process-local (register files are keyed by live IR instruction
     objects), so a checkpointing worker rebuilds the golden run — tape and
     all — *adaptively*: only for input keys it sees a second time.  A
     worker in the unique-input regime therefore never doubles its golden
@@ -75,22 +117,36 @@ class _WorkerEngine:
     and fast-forwards every later experiment on it.
     """
 
-    def __init__(self, context: WorkerContext):
-        self.context = context
-        self.injector = FaultInjector(**context.injector)
-        # Decode — and for engine="compiled", exec-compile — every defined
-        # function now, at fork, so no faulty run ever pays one-time code
-        # generation inside its timed window.
-        self.injector.warm()
-        self.bindings_factory = (
-            context.bindings_factory_maker()
-            if context.bindings_factory_maker is not None
-            else None
-        )
+    def __init__(
+        self,
+        injector: FaultInjector,
+        make_runner: Callable[[dict], Runner],
+        bindings_factory: BindingsFactory | None = None,
+    ):
+        self.injector = injector
+        self.make_runner = make_runner
+        self.bindings_factory = bindings_factory
         self._seen_keys: set = set()
 
+    @classmethod
+    def build(cls, source: WorkerContext | EngineSpec) -> "_WorkerEngine":
+        """The engine for a fork-time context or a by-name spec."""
+        if isinstance(source, EngineSpec):
+            from ..workloads.registry import build_runner
+
+            return cls(
+                source.build(), functools.partial(build_runner, source.workload)
+            )
+        injector = FaultInjector(**source.injector)
+        # Decode — and for engine="compiled", exec-compile — every defined
+        # function now, so no faulty run ever pays one-time code generation
+        # inside its timed window.
+        injector.warm()
+        maker = source.bindings_factory_maker
+        return cls(injector, source.make_runner, maker() if maker else None)
+
     def run_task(self, task: ScheduledExperiment) -> ExperimentResult:
-        runner = self.context.make_runner(task.params)
+        runner = self.make_runner(task.params)
         golden = self._golden_for(runner, task)
         return self.injector.faulty(
             runner,
@@ -127,216 +183,58 @@ class _WorkerEngine:
         )
 
 
-_worker_engine: _WorkerEngine | None = None
-
-#: Sweep-mode worker state: one eagerly-built engine per cell (fork-time
-#: initialization, so serving a task never re-decodes the module).
-_sweep_engines: dict = {}
-
-
-def _init_worker(context: WorkerContext) -> None:
-    global _worker_engine
-    _worker_engine = _WorkerEngine(context)
+#: This worker process's engines, keyed like its tasks: fork-time context
+#: keys are built by :func:`_init_worker`, :class:`EngineSpec` keys on their
+#: first task; either way an engine lives as long as the worker.
+_engines: dict = {}
 
 
-def _run_scheduled(task: ScheduledExperiment) -> ExperimentResult:
-    assert _worker_engine is not None
-    return _worker_engine.run_task(task)
-
-
-def _init_sweep_worker(contexts: dict) -> None:
-    _sweep_engines.clear()
+def _init_worker(contexts: dict) -> None:
+    _engines.clear()
     for key, context in contexts.items():
-        _sweep_engines[key] = _WorkerEngine(context)
+        _engines[key] = _WorkerEngine.build(context)
 
 
-def _run_sweep_scheduled(keyed_task) -> ExperimentResult:
+def _run_task(keyed_task) -> ExperimentResult:
     key, task = keyed_task
-    return _sweep_engines[key].run_task(task)
-
-
-class ExperimentPool:
-    """A worker pool executing pre-drawn schedules in order.
-
-    Thin wrapper over ``multiprocessing.Pool`` so campaign code reads as
-    "map the schedule"; ``imap`` keeps the parent producing goldens while
-    workers chew on faulty runs.
-    """
-
-    def __init__(self, jobs: int, context: WorkerContext):
-        self.jobs = jobs
-        self._pool = multiprocessing.get_context().Pool(
-            processes=jobs, initializer=_init_worker, initargs=(context,)
-        )
-
-    def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap(_run_scheduled, schedule, chunksize)
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "ExperimentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.terminate()
-        self._pool.join()
-
-
-class SweepPool:
-    """One worker pool shared by every cell of an experiment sweep.
-
-    Fig. 11 runs dozens of (benchmark, ISA, category) cells; spawning a
-    fresh pool per cell pays fork + module-pickle + injector-build dozens
-    of times over.  A sweep pool forks *once* with all cells' contexts, and
-    each worker lazily builds injectors only for the cells whose tasks it
-    actually receives.  :meth:`cell` returns a view that campaign drivers
-    use exactly like an :class:`ExperimentPool` (closing the view is a
-    no-op — the sweep owns the processes).
-    """
-
-    def __init__(self, jobs: int, contexts: dict):
-        self.jobs = jobs
-        self._pool = multiprocessing.get_context().Pool(
-            processes=jobs, initializer=_init_sweep_worker, initargs=(contexts,)
-        )
-
-    def cell(self, key) -> "SweepCell":
-        return SweepCell(self, key)
-
-    def imap_keyed(self, key, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap(
-            _run_sweep_scheduled, ((key, task) for task in schedule), chunksize
-        )
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "SweepPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.terminate()
-        self._pool.join()
-
-
-class SweepCell:
-    """One cell's pool-compatible view of a :class:`SweepPool`."""
-
-    def __init__(self, pool: SweepPool, key):
-        self._pool = pool
-        self.key = key
-
-    def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap_keyed(self.key, schedule, chunksize)
-
-    def close(self) -> None:
-        """No-op: the owning :class:`SweepPool` manages worker lifetime."""
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """A by-name recipe for one campaign cell's execution engine.
-
-    Unlike :class:`WorkerContext` — which ships the pickled module itself —
-    a spec is a few strings: workers rebuild the module by compiling the
-    named registry workload locally (compilation and site enumeration are
-    deterministic, so the rebuilt engine is bit-identical to the parent's).
-    That makes specs cheap enough to ride along with *every* task, which is
-    what lets one persistent pool serve campaigns that did not exist when
-    the pool forked: a worker receiving a spec it has never seen builds the
-    engine once, caches it, and every later campaign on the same spec —
-    any tenant, any seed — reuses it warm.
-    """
-
-    workload: str
-    target: str
-    category: str
-    engine: str = "direct"
-    step_limit: int = 2_000_000
-    respect_masks: bool = True
-    checkpoint_interval: int | None = None
-
-
-def _spec_context(spec: EngineSpec) -> WorkerContext:
-    """Build a :class:`WorkerContext` from a by-name spec (worker side)."""
-    from ..workloads.registry import build_runner, get_workload
-
-    module = get_workload(spec.workload).compile(spec.target)
-    return WorkerContext(
-        injector={
-            "module": module,
-            "category": spec.category,
-            "step_limit": spec.step_limit,
-            "respect_masks": spec.respect_masks,
-            "engine": spec.engine,
-            "checkpoint_interval": spec.checkpoint_interval,
-        },
-        make_runner=functools.partial(build_runner, spec.workload),
-    )
-
-
-#: Service-mode worker state: engines built on first use and kept warm for
-#: every later campaign with the same spec (the handoff the campaign
-#: service's warm-submission speedup rests on).  Maps EngineSpec ->
-#: _WorkerEngine; lives for the worker process's whole life.
-_service_engines: dict = {}
-
-
-def _run_service_task(keyed_task) -> ExperimentResult:
-    spec, task = keyed_task
-    engine = _service_engines.get(spec)
+    engine = _engines.get(key)
     if engine is None:
-        engine = _service_engines[spec] = _WorkerEngine(_spec_context(spec))
+        if not isinstance(key, EngineSpec):
+            raise KeyError(
+                f"no worker context for pool cell {key!r}; pass it to "
+                f"ExperimentPool(contexts=...) or key the cell by EngineSpec"
+            )
+        engine = _engines[key] = _WorkerEngine.build(key)
     return engine.run_task(task)
 
 
-def _warm_service_engine(spec: EngineSpec) -> bool:
-    """Pre-build one worker's engine for ``spec``; True if it was cold."""
-    if spec in _service_engines:
-        return False
-    _service_engines[spec] = _WorkerEngine(_spec_context(spec))
-    return True
+class ExperimentPool:
+    """One worker pool executing pre-drawn schedules in order.
 
-
-class ServicePool:
-    """One persistent worker pool shared by every campaign of a service.
-
-    The sweep pool forks with all cell contexts known upfront; a service
-    cannot know its future submissions, so its pool forks *empty* and
-    workers build engines lazily from the :class:`EngineSpec` riding along
-    with each task, keeping them cached across campaigns and tenants.
-    Concurrent ``imap`` calls from different scheduler threads are safe —
-    ``multiprocessing.Pool`` serializes its task queue — and results of
-    each campaign still stream back in that campaign's schedule order.
+    ``contexts`` maps cell keys to :class:`WorkerContext` objects whose
+    engines every worker builds at fork — a sweep forks once for all its
+    cells instead of re-spawning (and re-pickling modules) per cell.  A
+    cell keyed by an :class:`EngineSpec` needs no context: workers build
+    its engine on first use and keep it warm across campaigns, which is
+    how a service's pool, forked before any submission exists, serves
+    them all.  :meth:`cell` returns the per-cell view campaign drivers
+    take as ``pool=``.  Concurrent ``imap`` calls from different threads
+    are safe — ``multiprocessing.Pool`` serializes its task queue — and
+    each call's results stream back in its own schedule order.
     """
 
-    def __init__(self, jobs: int):
+    def __init__(self, jobs: int, contexts: dict | None = None):
         self.jobs = jobs
-        self._pool = multiprocessing.get_context().Pool(processes=jobs)
-
-    def cell(self, spec: EngineSpec) -> "ServiceCell":
-        return ServiceCell(self, spec)
-
-    def imap_spec(
-        self, spec: EngineSpec, schedule, chunksize: int = DEFAULT_CHUNKSIZE
-    ):
-        return self._pool.imap(
-            _run_service_task, ((spec, task) for task in schedule), chunksize
+        self._pool = multiprocessing.get_context().Pool(
+            processes=jobs, initializer=_init_worker, initargs=(contexts or {},)
         )
 
-    def prewarm(self, spec: EngineSpec) -> int:
-        """Build ``spec``'s engine in every worker; returns cold builds.
+    def cell(self, key) -> "PoolCell":
+        return PoolCell(self, key)
 
-        Best-effort: ``map`` hands the batch to whichever workers are
-        free, so a busy pool may warm fewer than ``jobs`` processes — the
-        stragglers build on first task instead, which is correct, just
-        colder.
-        """
-        return sum(
-            self._pool.map(_warm_service_engine, [spec] * self.jobs, chunksize=1)
+    def imap(self, key, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
+        return self._pool.imap(
+            _run_task, ((key, task) for task in schedule), chunksize
         )
 
     def close(self) -> None:
@@ -347,25 +245,22 @@ class ServicePool:
         self._pool.terminate()
         self._pool.join()
 
-    def __enter__(self) -> "ServicePool":
+    def __enter__(self) -> "ExperimentPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.terminate()
 
 
-class ServiceCell:
-    """One campaign's pool-compatible view of a :class:`ServicePool`."""
+class PoolCell:
+    """One cell's view of an :class:`ExperimentPool`: map a schedule."""
 
-    def __init__(self, pool: ServicePool, spec: EngineSpec):
+    def __init__(self, pool: ExperimentPool, key):
         self._pool = pool
-        self.spec = spec
+        self.key = key
 
     def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap_spec(self.spec, schedule, chunksize)
-
-    def close(self) -> None:
-        """No-op: the owning :class:`ServicePool` manages worker lifetime."""
+        return self._pool.imap(self.key, schedule, chunksize)
 
 
 def draw_experiment(
@@ -378,10 +273,10 @@ def draw_experiment(
 
     Consumes the RNG stream exactly as :meth:`FaultInjector.experiment`
     does: ``k = rng.randint(1, n)`` then ``bit = rng.randrange(width_k)``.
-    Raises the same :class:`~repro.errors.InjectionError` as the serial path
-    for detector-tainted goldens and site-free programs.  Shared by the
-    parallel scheduler and the store-recorded serial path, which both need
-    the schedule triple *before* (or instead of) the faulty run.
+    Raises the same :class:`~repro.errors.InjectionError` as
+    :meth:`FaultInjector.experiment` for detector-tainted goldens and
+    site-free programs.  The campaign driver's schedule loop draws every
+    experiment through here, pooled or not, recorded or not.
     """
     from ..errors import InjectionError
 
@@ -402,19 +297,13 @@ def draw_experiment(
     return golden, k, bit
 
 
-def make_schedule_entry(
-    injector: FaultInjector,
-    runner: Runner,
-    rng,
-    bindings_factory: BindingsFactory | None = None,
+def schedule_entry(
+    params: dict | None, golden: GoldenRun, k: int, bit: int
 ) -> ScheduledExperiment:
-    """Draw one experiment's schedule entry in the parent (see
-    :func:`draw_experiment` for the RNG-stream contract)."""
-    from ..errors import InjectionError
-
-    golden, k, bit = draw_experiment(injector, runner, rng, bindings_factory)
-    params = getattr(runner, "params", None)
+    """The worker task for one drawn experiment."""
     if params is None:
+        from ..errors import InjectionError
+
         raise InjectionError(
             "parallel campaigns need runners that carry their input params "
             "(build them via Workload.build_runner / runner_factory)"

@@ -12,12 +12,13 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..core.campaign import CampaignConfig
 from ..core.injector import FaultInjector
-from ..core.parallel import WorkerContext
+from ..core.parallel import ExperimentPool, WorkerContext
 from ..workloads.registry import Workload, build_runner
 
 #: Experiment scale presets.  The paper runs 20 campaigns x 100 experiments
@@ -48,6 +49,21 @@ def cell_seed(*coords) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
 
 
+def cell_injector(
+    workload: Workload,
+    target: str,
+    category: str,
+    step_limit: int = 2_000_000,
+    engine: str = "direct",
+    checkpoint_interval: int | None = None,
+) -> FaultInjector:
+    """The engine for one (workload, ISA, site category) campaign cell."""
+    return FaultInjector(
+        workload.compile(target), category=category, step_limit=step_limit,
+        engine=engine, checkpoint_interval=checkpoint_interval,
+    )
+
+
 def campaign_worker_context(
     injector: FaultInjector, workload: Workload, with_detectors: bool = False
 ) -> WorkerContext:
@@ -68,6 +84,46 @@ def campaign_worker_context(
         make_runner=functools.partial(build_runner, workload.name),
         bindings_factory_maker=maker,
     )
+
+
+@contextmanager
+def open_sweep(keys, jobs: int, store, build, with_detectors: bool = False):
+    """Set up a sweep's shared state; yield each cell's ``run_cell`` keywords.
+
+    ``build(key)`` returns the cell's ``(workload, injector, recorder)``,
+    the recorder ``None`` without a ``store``.  With ``jobs > 1`` or a
+    ``store``, every cell is built in the parent upfront: one
+    :class:`ExperimentPool` forks once with every cell's worker context
+    instead of re-spawning (and re-pickling modules) per cell, and every
+    cell's manifest lands before the first injection, so a crash mid-sweep
+    leaves a complete inventory for ``resume``.  Otherwise nothing is built
+    here and each cell builds its own injector when it runs.
+    """
+    injectors: dict = {}
+    recorders: dict = {}
+    contexts: dict = {}
+    if jobs > 1 or store is not None:
+        for key in keys:
+            workload, injectors[key], recorders[key] = build(key)
+            contexts[key] = campaign_worker_context(
+                injectors[key], workload, with_detectors
+            )
+    pool = ExperimentPool(jobs, contexts) if jobs > 1 else None
+
+    def cell_kwargs(key) -> dict:
+        return {
+            "injector": injectors.get(key),
+            "recorder": recorders.get(key),
+            "pool": pool.cell(key) if pool is not None else None,
+        }
+
+    try:
+        yield cell_kwargs
+    finally:
+        if pool is not None:
+            pool.close()
+        if store is not None:
+            store.flush()
 
 
 @dataclass

@@ -17,15 +17,15 @@ from dataclasses import asdict
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignConfig, run_campaigns
 from ..core.injector import FaultInjector
-from ..core.parallel import SweepPool
 from ..workloads.registry import Workload, benchmark_workloads
 from .common import (
     CATEGORIES,
     ExperimentReport,
     SCALES,
     TARGETS,
-    campaign_worker_context,
+    cell_injector,
     cell_seed,
+    open_sweep,
 )
 
 HEADERS = ["benchmark", "target", "category", "n", "SDC", "benign", "crash", "±moe"]
@@ -61,50 +61,31 @@ def run_cell(
     category: str,
     config: CampaignConfig,
     step_limit: int = 2_000_000,
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
-    scale: str = "custom",
-    store=None,
     recorder=None,
-    abort_after: int | None = None,
     shard=None,
 ) -> dict:
     """One Fig.-11 cell: campaigns for (benchmark, ISA, site category).
 
     ``pool``/``injector``/``recorder`` are supplied by :func:`run` when a
-    whole sweep shares one :class:`~repro.core.parallel.SweepPool` and/or a
-    :class:`~repro.store.CampaignStore`; standalone callers leave them unset
-    and get a per-cell pool (``jobs > 1``), serial runs, and — with
-    ``store`` — a per-cell recorder.  ``shard`` (a :class:`~repro.store.
-    ShardSpec`) restricts execution to one schedule stripe; see
-    :mod:`repro.store.shard`.
+    whole sweep shares one :class:`~repro.core.parallel.ExperimentPool`
+    and/or a :class:`~repro.store.CampaignStore`; standalone callers leave
+    them unset and get a serial, storeless run.  ``shard`` (a
+    :class:`~repro.store.ShardSpec`) restricts execution to one schedule
+    stripe; see :mod:`repro.store.shard`.
     """
     if injector is None:
-        module = workload.compile(target)
-        injector = FaultInjector(
-            module, category=category, step_limit=step_limit, engine=engine,
-            checkpoint_interval=checkpoint_interval,
+        injector = cell_injector(
+            workload, target, category, step_limit, engine, checkpoint_interval
         )
-    if recorder is None and store is not None:
-        recorder = cell_recorder(
-            store, workload, target, category, scale, config, injector,
-            abort_after=abort_after,
-        )
-    worker_context = (
-        campaign_worker_context(injector, workload)
-        if jobs > 1 and pool is None
-        else None
-    )
     summary = run_campaigns(
         injector,
         workload.runner_factory(),
         config,
         seed=cell_seed("fig11", workload.name, target, category),
-        jobs=jobs,
-        worker_context=worker_context,
         pool=pool,
         recorder=recorder,
         shard=shard,
@@ -140,65 +121,37 @@ def run(
         raise ValueError("fig11.run(shard=...) requires a store")
     config = SCALES[scale]
     report = ExperimentReport(name="fig11", scale=scale, headers=list(HEADERS))
-    cells = [
-        (w, target, category)
+    cells = {
+        (w.name, target, category): (w, target, category)
         for w in benchmark_workloads()
         if benchmarks is None or w.name in benchmarks
         for target in TARGETS
         for category in CATEGORIES
-    ]
-    # With --jobs, every cell's engine is built in the parent first and one
-    # SweepPool serves the whole sweep: the workers fork once with all cell
-    # contexts instead of re-spawning (and re-pickling modules) per cell.
-    # With --store, injectors are likewise built upfront so every cell's
-    # manifest lands before the first injection — a crash mid-sweep leaves a
-    # complete inventory for `resume`.
-    injectors: dict = {}
-    recorders: dict = {}
-    pool: SweepPool | None = None
-    if jobs > 1 or store is not None:
-        contexts = {}
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            injectors[key] = FaultInjector(
-                w.compile(target),
-                category=category,
-                step_limit=2_000_000,
-                engine=engine,
-                checkpoint_interval=checkpoint_interval,
+    }
+
+    def build(key):
+        w, target, category = cells[key]
+        injector = cell_injector(
+            w, target, category, engine=engine,
+            checkpoint_interval=checkpoint_interval,
+        )
+        recorder = None
+        if store is not None:
+            recorder = cell_recorder(
+                store, w, target, category, scale, config, injector,
+                abort_after=abort_after,
             )
-            contexts[key] = campaign_worker_context(injectors[key], w)
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, target, category, scale, config,
-                    injectors[key], abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w, target, category in cells:
-            key = (w.name, target, category)
+        return w, injector, recorder
+
+    with open_sweep(cells, jobs, store, build) as cell_kwargs:
+        for key, (w, target, category) in cells.items():
             report.rows.append(
                 run_cell(
-                    w,
-                    target,
-                    category,
-                    config,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
+                    w, target, category, config, engine=engine,
+                    checkpoint_interval=checkpoint_interval, shard=shard,
+                    **cell_kwargs(key),
                 )
             )
-    finally:
-        if pool is not None:
-            pool.close()
-        if store is not None:
-            store.flush()
     report.notes.append(
         "Paper shape: Stencil/Blackscholes highest SDC; Swaptions/CG most "
         "resilient; address faults crash the most; Chebyshev's address SDC "

@@ -32,8 +32,8 @@ from .common import (
     CATEGORIES,
     ExperimentReport,
     FIG12_EXPERIMENTS,
-    campaign_worker_context,
     cell_seed,
+    open_sweep,
 )
 
 #: Paper Fig. 12 values for comparison (SDC rate, SDC detection rate).
@@ -105,48 +105,42 @@ def measure_overhead(workload: Workload, target: str = "avx", samples: int = 5) 
     return float(np.mean(ratios))
 
 
+def cell_injector(
+    workload: Workload,
+    category: str,
+    target: str = "avx",
+    engine: str = "direct",
+    checkpoint_interval: int | None = None,
+) -> FaultInjector:
+    return FaultInjector(
+        workload.compile(target, foreach_detectors=True), category=category,
+        step_limit=500_000, engine=engine,
+        checkpoint_interval=checkpoint_interval,
+    )
+
+
 def run_cell(
     workload: Workload,
     category: str,
     experiments: int,
     target: str = "avx",
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
-    scale: str = "custom",
-    store=None,
     recorder=None,
-    abort_after: int | None = None,
     shard=None,
 ) -> dict:
     if injector is None:
-        module = workload.compile(target, foreach_detectors=True)
-        injector = FaultInjector(
-            module, category=category, step_limit=500_000, engine=engine,
-            checkpoint_interval=checkpoint_interval,
+        injector = cell_injector(
+            workload, category, target, engine, checkpoint_interval
         )
-    if recorder is None and store is not None:
-        recorder = cell_recorder(
-            store, workload, category, experiments, scale, injector,
-            abort_after=abort_after,
-        )
-    rng = Random(cell_seed("fig12", workload.name, target, category))
-    factory = detector_bindings_factory()
-    worker_context = (
-        campaign_worker_context(injector, workload, with_detectors=True)
-        if jobs > 1 and pool is None
-        else None
-    )
     stats = run_batch(
         injector,
         workload.runner_factory(),
         experiments,
-        rng,
-        bindings_factory=factory,
-        jobs=jobs,
-        worker_context=worker_context,
+        Random(cell_seed("fig12", workload.name, target, category)),
+        bindings_factory=detector_bindings_factory(),
         pool=pool,
         recorder=recorder,
         shard=shard,
@@ -178,66 +172,44 @@ def run(
         raise ValueError("fig12.run(shard=...) requires a store")
     experiments = FIG12_EXPERIMENTS[scale]
     report = ExperimentReport(name="fig12", scale=scale, headers=list(HEADERS))
-    cells = [(w, category) for w in micro_workloads() for category in CATEGORIES]
+    cells = {
+        (w.name, category): (w, category)
+        for w in micro_workloads()
+        for category in CATEGORIES
+    }
     overheads = {w.name: measure_overhead(w) for w in micro_workloads()}
-    # One SweepPool serves all (micro, category) cells — same pattern as
-    # Fig. 11: fork once with every cell's context, build injectors lazily
-    # in the workers.  With --store, injectors and recorders are built
-    # upfront so every cell is manifested (with its measured overhead)
-    # before the first injection.
-    injectors: dict = {}
-    recorders: dict = {}
-    pool = None
-    if jobs > 1 or store is not None:
-        from ..core.parallel import SweepPool
 
-        contexts = {}
-        for w, category in cells:
-            key = (w.name, category)
-            module = w.compile("avx", foreach_detectors=True)
-            injectors[key] = FaultInjector(
-                module, category=category, step_limit=500_000, engine=engine,
-                checkpoint_interval=checkpoint_interval,
-            )
-            contexts[key] = campaign_worker_context(
-                injectors[key], w, with_detectors=True
-            )
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, category, experiments, scale, injectors[key],
-                    extras={
-                        "overhead": overheads[w.name],
-                        "paper_overhead": PAPER_OVERHEADS.get(w.name),
-                    },
-                    abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w in micro_workloads():
-            for category in CATEGORIES:
-                key = (w.name, category)
-                row = run_cell(
-                    w,
-                    category,
-                    experiments,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
-                )
-                row["overhead"] = overheads[w.name]
-                row["paper_overhead"] = PAPER_OVERHEADS.get(w.name)
-                report.rows.append(row)
-    finally:
-        if pool is not None:
-            pool.close()
+    def build(key):
+        w, category = cells[key]
+        injector = cell_injector(
+            w, category, engine=engine, checkpoint_interval=checkpoint_interval
+        )
+        recorder = None
         if store is not None:
-            store.flush()
+            # Manifested with its measured overhead, so the report can be
+            # rebuilt from the store alone.
+            recorder = cell_recorder(
+                store, w, category, experiments, scale, injector,
+                extras={
+                    "overhead": overheads[w.name],
+                    "paper_overhead": PAPER_OVERHEADS.get(w.name),
+                },
+                abort_after=abort_after,
+            )
+        return w, injector, recorder
+
+    with open_sweep(
+        cells, jobs, store, build, with_detectors=True
+    ) as cell_kwargs:
+        for key, (w, category) in cells.items():
+            row = run_cell(
+                w, category, experiments, engine=engine,
+                checkpoint_interval=checkpoint_interval, shard=shard,
+                **cell_kwargs(key),
+            )
+            row["overhead"] = overheads[w.name]
+            row["paper_overhead"] = PAPER_OVERHEADS.get(w.name)
+            report.rows.append(row)
     report.notes.append(
         "Overhead is a dynamic-instruction ratio (deterministic proxy for "
         "the paper's ~8% wall-clock figure). Expect 0% detection under "

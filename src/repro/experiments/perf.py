@@ -26,9 +26,10 @@ from random import Random
 from ..analysis.report import render_table
 from ..core.campaign import CampaignConfig, run_campaigns
 from ..core.injector import ENGINES, FaultInjector
+from ..core.parallel import ExperimentPool
 from ..vm.bits import VECTOR_EVENTS
 from ..workloads.registry import get_workload
-from .common import ExperimentReport
+from .common import ExperimentReport, campaign_worker_context
 
 #: Wall-clock seconds for the same two mini-campaigns measured at the seed
 #: commit (naive interpreter, no golden cache), on the reference container.
@@ -139,11 +140,9 @@ def _mini_campaign(
             n, seed = rng.choice(POOLED_INPUTS)
             return workload.build_runner({"n": n, "seed": seed})
 
-    worker_context = None
+    contexts = None
     if jobs > 1:
-        from .common import campaign_worker_context
-
-        worker_context = campaign_worker_context(injector, workload)
+        contexts = {regime: campaign_worker_context(injector, workload)}
 
     # Engine blocks run back to back in one process; without this, the
     # previous block's garbage (checkpoint tapes hold full memory images)
@@ -182,13 +181,18 @@ def _mini_campaign(
 
     slots_before = VECTOR_EVENTS["ndarray_slots"]
     t0 = time.perf_counter()
+    # The pool forks inside the timed window: its startup is part of what
+    # --jobs costs.
+    pool = ExperimentPool(jobs, contexts) if contexts is not None else None
     try:
         summary = run_campaigns(
             injector, factory, MINI_CONFIG, seed=SEED,
-            jobs=jobs, worker_context=worker_context,
+            pool=pool.cell(regime) if pool is not None else None,
         )
     finally:
-        if jobs == 1:
+        if pool is not None:
+            pool.close()
+        else:
             # Un-shadow the bound method so a shared injector's next regime
             # does not stack timing wrappers.
             del injector.faulty

@@ -20,7 +20,6 @@ from dataclasses import asdict
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignConfig, run_campaigns
 from ..core.injector import FaultInjector
-from ..core.parallel import SweepPool
 from ..workloads.generated import GeneratedWorkload, form_pairs
 from ..workloads.registry import Workload
 from .common import (
@@ -28,8 +27,9 @@ from .common import (
     ExperimentReport,
     SCALES,
     TARGETS,
-    campaign_worker_context,
+    cell_injector,
     cell_seed,
+    open_sweep,
 )
 
 HEADERS = [
@@ -88,41 +88,23 @@ def run_cell(
     category: str,
     config: CampaignConfig,
     step_limit: int = 2_000_000,
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
-    scale: str = "custom",
-    store=None,
     recorder=None,
-    abort_after: int | None = None,
     shard=None,
 ) -> dict:
     """One vecdiff cell: campaigns for (form workload, ISA, site category)."""
     if injector is None:
-        module = workload.compile(target)
-        injector = FaultInjector(
-            module, category=category, step_limit=step_limit, engine=engine,
-            checkpoint_interval=checkpoint_interval,
+        injector = cell_injector(
+            workload, target, category, step_limit, engine, checkpoint_interval
         )
-    if recorder is None and store is not None:
-        recorder = cell_recorder(
-            store, workload, target, category, scale, config,
-            injector, abort_after=abort_after,
-        )
-    worker_context = (
-        campaign_worker_context(injector, workload)
-        if jobs > 1 and pool is None
-        else None
-    )
     summary = run_campaigns(
         injector,
         workload.runner_factory(),
         config,
         seed=cell_seed("vecdiff", workload.name, target, category),
-        jobs=jobs,
-        worker_context=worker_context,
         pool=pool,
         recorder=recorder,
         shard=shard,
@@ -160,61 +142,36 @@ def run(
         raise ValueError("vecdiff.run(shard=...) requires a store")
     config = SCALES[scale]
     report = ExperimentReport(name="vecdiff", scale=scale, headers=list(HEADERS))
-    cells = [
-        (w, target, category)
+    cells = {
+        (w.name, target, category): (w, target, category)
         for w in _cells(benchmarks)
         for target in TARGETS
         for category in CATEGORIES
-    ]
-    # Mirrors fig11: with --jobs or --store, every injector is built in the
-    # parent upfront (one SweepPool for the sweep; manifests land before
-    # the first injection so a crash leaves a resumable inventory).
-    injectors: dict = {}
-    recorders: dict = {}
-    pool: SweepPool | None = None
-    if jobs > 1 or store is not None:
-        contexts = {}
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            injectors[key] = FaultInjector(
-                w.compile(target),
-                category=category,
-                step_limit=2_000_000,
-                engine=engine,
-                checkpoint_interval=checkpoint_interval,
+    }
+
+    def build(key):
+        w, target, category = cells[key]
+        injector = cell_injector(
+            w, target, category, engine=engine,
+            checkpoint_interval=checkpoint_interval,
+        )
+        recorder = None
+        if store is not None:
+            recorder = cell_recorder(
+                store, w, target, category, scale, config, injector,
+                abort_after=abort_after,
             )
-            contexts[key] = campaign_worker_context(injectors[key], w)
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, target, category, scale, config,
-                    injectors[key], abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w, target, category in cells:
-            key = (w.name, target, category)
+        return w, injector, recorder
+
+    with open_sweep(cells, jobs, store, build) as cell_kwargs:
+        for key, (w, target, category) in cells.items():
             report.rows.append(
                 run_cell(
-                    w,
-                    target,
-                    category,
-                    config,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
+                    w, target, category, config, engine=engine,
+                    checkpoint_interval=checkpoint_interval, shard=shard,
+                    **cell_kwargs(key),
                 )
             )
-    finally:
-        if pool is not None:
-            pool.close()
-        if store is not None:
-            store.flush()
     report.notes.append(
         "Same recipe, same golden outputs: outcome deltas between the "
         "handvec and auto rows measure the vectorization strategy alone."

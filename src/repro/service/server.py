@@ -14,7 +14,7 @@ finishes).  The moving parts:
   store's claim/replay/record protocol to a byte-identical journal.
 * **dispatcher** (one asyncio task): pops the weighted-fair scheduler and
   runs campaigns on executor threads, at most ``max_concurrent`` at once.
-  All campaigns share one :class:`ServicePool` of forked workers (created
+  All campaigns share one :class:`ExperimentPool` of forked workers (created
   before any thread starts, while the process is still single-threaded)
   and one :class:`EngineCache` of warm parent engines.
 * **event fan-out**: runner threads emit progress through
@@ -41,7 +41,7 @@ import asyncio
 import json
 import threading
 
-from ..core.parallel import ServicePool
+from ..core.parallel import ExperimentPool
 from ..store import CampaignStore
 from .protocol import (
     BadSubmission,
@@ -119,7 +119,7 @@ class CampaignService:
         # campaigns serially on their runner thread (still concurrent
         # across campaigns) — the right mode for micro workloads where
         # fork+IPC costs more than the experiments.
-        self.pool = ServicePool(jobs) if jobs > 0 else None
+        self.pool = ExperimentPool(jobs) if jobs > 0 else None
         self.engines = EngineCache()
         self.scheduler = FairScheduler(max_pending=max_pending)
         self.max_concurrent = max(1, max_concurrent)
@@ -262,8 +262,8 @@ class CampaignService:
             )
         else:
             job.state = "complete"
-            # The StreamingRecorder's finish() already emitted the final
-            # "complete" event with totals; nothing more to add here.
+            # execute_submission already emitted the final "complete"
+            # event with totals; nothing more to add here.
 
     def _publish(self, key: str, event: dict) -> None:
         job = self.jobs.get(key)

@@ -1,7 +1,7 @@
 """Campaign execution for the service: warm engines, streamed progress.
 
 The daemon runs each scheduled campaign on a runner thread; the forked
-:class:`~repro.core.parallel.ServicePool` executes the faulty halves.  The
+:class:`~repro.core.parallel.ExperimentPool` executes the faulty halves.  The
 pieces here keep that path warm and observable:
 
 * :class:`EngineCache` pools parent-side :class:`FaultInjector` instances
@@ -17,7 +17,7 @@ pieces here keep that path warm and observable:
   outcome totals — to a callback the daemon fans out over SSE.
 * :func:`execute_submission` ties it together: acquire engine, open the
   recorder (folding run-time extras into the accept-time manifest), run
-  the campaigns, release the engine warm.
+  the campaigns, release the engine warm, then send the final event.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import threading
 
 from ..core.campaign import CampaignStats, CampaignSummary, run_campaigns
 from ..core.injector import FaultInjector
-from ..core.parallel import EngineSpec, ServicePool
+from ..core.parallel import EngineSpec, ExperimentPool
 from .protocol import (
     EXPERIMENT,
     Submission,
@@ -60,17 +60,7 @@ class EngineCache:
                 self.reuses += 1
                 return free.pop()
             self.builds += 1
-        from ..workloads.registry import get_workload
-
-        module = get_workload(spec.workload).compile(spec.target)
-        injector = FaultInjector(
-            module,
-            category=spec.category,
-            step_limit=spec.step_limit,
-            engine=spec.engine,
-        )
-        injector.warm()
-        return injector
+        return spec.build()
 
     def release(self, spec: EngineSpec, injector: FaultInjector) -> None:
         with self._lock:
@@ -92,7 +82,9 @@ class StreamingRecorder:
     have done alone — this class only *observes*, so a daemon-run campaign
     journals identically to a CLI run.  ``emit(event)`` receives dicts in
     the shared status schema: running ``done``/``hits``/``misses`` counts
-    and outcome ``totals``; the daemon timestamps and fans them out.
+    and outcome ``totals``; the daemon timestamps and fans them out.  The
+    final ``complete`` event is not emitted by :meth:`finish` but kept as
+    :attr:`final_event` for the caller to send once its cleanup is done.
     """
 
     def __init__(self, recorder, emit, every: int = 1):
@@ -104,6 +96,7 @@ class StreamingRecorder:
         self.hits = 0
         self.misses = 0
         self.campaign_key = recorder.campaign_key
+        self.final_event: dict | None = None
 
     # -- recorder protocol (see core.campaign) ---------------------------------
 
@@ -128,7 +121,7 @@ class StreamingRecorder:
 
     def finish(self, executed_total, converged=None):
         self._recorder.finish(executed_total, converged)
-        self._emit(self.progress_event(final=True, converged=converged))
+        self.final_event = self.progress_event(final=True, converged=converged)
 
     def counters(self):
         return self._recorder.counters()
@@ -168,7 +161,7 @@ class StreamingRecorder:
 def execute_submission(
     store,
     sub: Submission,
-    pool: ServicePool | None,
+    pool: ExperimentPool | None,
     engines: EngineCache,
     emit,
     progress_every: int = 1,
@@ -179,6 +172,10 @@ def execute_submission(
     CLI path for the same cell — the recorder protocol, the RNG stream,
     and the pool's in-order imap guarantee it — so a daemon-filled store
     and a CLI-filled store are byte-interchangeable.
+
+    The engine goes back to ``engines`` *before* the final ``complete``
+    event is emitted: a closed-loop client that submits its next campaign
+    on that event must find the engine warm, not race its release.
     """
     from ..workloads.registry import get_workload
 
@@ -212,4 +209,5 @@ def execute_submission(
         )
     finally:
         engines.release(spec, injector)
+    emit(streaming.final_event)
     return summary

@@ -301,6 +301,24 @@ def _safe_pow(x: float, y: float) -> float:
     return r
 
 
+def _sin(x: float) -> float:
+    # C returns NaN for sin(±inf); Python's math.sin raises instead.
+    return math.nan if math.isinf(x) else math.sin(x)
+
+
+def _cos(x: float) -> float:
+    return math.nan if math.isinf(x) else math.cos(x)
+
+
+def _floor(x: float):
+    # inf and NaN are their own floor/ceil in C; math.floor raises on both.
+    return math.floor(x) if math.isfinite(x) else x
+
+
+def _ceil(x: float):
+    return math.ceil(x) if math.isfinite(x) else x
+
+
 def ieee_min(x: float, y: float) -> float:
     if x != x:
         return y
@@ -322,10 +340,10 @@ MATH_FNS = {
     "fabs": math.fabs,
     "exp": _safe_exp,
     "log": _safe_log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "floor": math.floor,
-    "ceil": math.ceil,
+    "sin": _sin,
+    "cos": _cos,
+    "floor": _floor,
+    "ceil": _ceil,
     "pow": _safe_pow,
     "minnum": ieee_min,
     "maxnum": ieee_max,

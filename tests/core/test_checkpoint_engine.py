@@ -327,19 +327,22 @@ class TestCampaignIntegration:
             step_limit=500_000,
             checkpoint_interval=checkpoint_interval,
         )
-        worker_context = None
-        if jobs > 1:
-            from repro.experiments.common import campaign_worker_context
+        if jobs == 1:
+            return run_campaigns(
+                injector, workload.runner_factory(), self.CONFIG, seed=11
+            )
+        from repro.core import ExperimentPool
+        from repro.experiments.common import campaign_worker_context
 
-            worker_context = campaign_worker_context(injector, workload)
-        return run_campaigns(
-            injector,
-            workload.runner_factory(),
-            self.CONFIG,
-            seed=11,
-            jobs=jobs,
-            worker_context=worker_context,
-        )
+        context = campaign_worker_context(injector, workload)
+        with ExperimentPool(jobs, {"cell": context}) as pool:
+            return run_campaigns(
+                injector,
+                workload.runner_factory(),
+                self.CONFIG,
+                seed=11,
+                pool=pool.cell("cell"),
+            )
 
     @staticmethod
     def _totals(s):

@@ -10,6 +10,8 @@ instrumented chains handle structurally (sign-bit-masked AVX intrinsics,
 i1-masked SSE intrinsics, pointer sites' ptrtoint/inttoptr sandwich).
 """
 
+import math
+import struct
 from random import Random
 
 import numpy as np
@@ -17,10 +19,12 @@ import pytest
 
 from repro.core import (
     ENGINES,
+    CampaignConfig,
     FaultInjector,
     build_injection_plan,
     enumerate_module_sites,
     filter_sites,
+    run_campaigns,
 )
 from repro.errors import InjectionError
 from repro.frontend import compile_source
@@ -159,6 +163,57 @@ class TestRegistryMatrix:
         oracle = workload_stream(workload, "instrumented", seeds=seeds)
         assert workload_stream(workload, "direct", seeds=seeds) == oracle
         assert workload_stream(workload, "compiled", seeds=seeds) == oracle
+
+
+class TestNonFiniteMath:
+    """A flipped exponent bit can feed inf or NaN to a math intrinsic.  All
+    engines share one math table, which must return C's IEEE result there
+    instead of raising a host ``ValueError`` that kills the campaign."""
+
+    def test_table_returns_ieee_results(self):
+        from repro.vm.ops import MATH_FNS
+
+        for name in ("sin", "cos"):
+            for x in (math.inf, -math.inf, math.nan):
+                assert math.isnan(MATH_FNS[name](x))
+        for name in ("floor", "ceil"):
+            assert MATH_FNS[name](math.inf) == math.inf
+            assert MATH_FNS[name](-math.inf) == -math.inf
+            assert math.isnan(MATH_FNS[name](math.nan))
+
+    @pytest.mark.parametrize("x", [-2.5, -0.0, 0.3, 1.5, 7.0, 1e300, -1e-310])
+    def test_finite_arguments_are_unchanged(self, x):
+        from repro.vm.ops import MATH_FNS
+
+        bits = lambda v: struct.pack("<d", v)
+        for name in ("sin", "cos", "floor", "ceil"):
+            expected = getattr(math, name)(x)
+            got = MATH_FNS[name](x)
+            assert type(got) is type(expected)
+            assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "target, seed", [("sse", 1683844437), ("avx", 3634175658)]
+    )
+    def test_chebyshev_campaign_classifies_on_every_engine(self, target, seed):
+        """Both seeds used to crash the host with ``math domain error``."""
+        workload = get_workload("chebyshev")
+        config = CampaignConfig(8, 1, 1)
+        campaigns = {
+            engine: run_campaigns(
+                FaultInjector(
+                    workload.compile(target), category="pure-data",
+                    engine=engine,
+                ),
+                workload.runner_factory(),
+                config,
+                seed=seed,
+            ).campaigns
+            for engine in ENGINES
+        }
+        assert campaigns["direct"] == campaigns["instrumented"]
+        assert campaigns["compiled"] == campaigns["instrumented"]
+        assert campaigns["direct"][0].total == 8
 
 
 class TestPointerSites:

@@ -9,6 +9,7 @@ import pytest
 from repro.core import (
     CampaignConfig,
     CampaignStats,
+    ExperimentPool,
     ExperimentResult,
     FaultInjector,
     Outcome,
@@ -98,20 +99,20 @@ class TestParallelDeterminism:
     def _run(self, setup, jobs):
         workload, module = setup
         injector = FaultInjector(module, category="all", step_limit=500_000)
-        worker_context = None
-        if jobs > 1:
-            worker_context = WorkerContext(
-                injector=injector.worker_payload(),
-                make_runner=functools.partial(build_runner, workload.name),
+
+        def run(pool=None):
+            return run_campaigns(
+                injector, workload.runner_factory(), _CONFIG, seed=7, pool=pool
             )
-        return run_campaigns(
-            injector,
-            workload.runner_factory(),
-            _CONFIG,
-            seed=7,
-            jobs=jobs,
-            worker_context=worker_context,
+
+        if jobs == 1:
+            return run()
+        context = WorkerContext(
+            injector=injector.worker_payload(),
+            make_runner=functools.partial(build_runner, workload.name),
         )
+        with ExperimentPool(jobs, {"cell": context}) as pool:
+            return run(pool.cell("cell"))
 
     def test_serial_vs_parallel_identical(self, setup):
         serial = self._run(setup, jobs=1)
@@ -128,28 +129,37 @@ class TestParallelDeterminism:
 
         def batch(jobs):
             injector = FaultInjector(module, category="all", step_limit=500_000)
-            ctx = None
-            if jobs > 1:
-                ctx = WorkerContext(
-                    injector=injector.worker_payload(),
-                    make_runner=functools.partial(build_runner, workload.name),
+
+            def run(pool=None):
+                return run_batch(
+                    injector, workload.runner_factory(), 30, Random(5),
+                    pool=pool,
                 )
-            return run_batch(
-                injector, workload.runner_factory(), 30, Random(5),
-                jobs=jobs, worker_context=ctx,
+
+            if jobs == 1:
+                return run()
+            ctx = WorkerContext(
+                injector=injector.worker_payload(),
+                make_runner=functools.partial(build_runner, workload.name),
             )
+            with ExperimentPool(jobs, {"cell": ctx}) as pool:
+                return run(pool.cell("cell"))
 
         a, b = batch(1), batch(2)
         assert (a.sdc, a.benign, a.crash) == (b.sdc, b.benign, b.crash)
         assert a.crash_kinds == b.crash_kinds
 
-    def test_jobs_without_context_rejected(self, setup):
+    def test_cell_without_context_rejected(self, setup):
+        """A pool cell keyed by neither a fork-time context nor an
+        EngineSpec has no engine to run on: the campaign fails loudly."""
         workload, module = setup
         injector = FaultInjector(module)
-        with pytest.raises(ValueError, match="worker_context"):
-            run_campaigns(
-                injector, workload.runner_factory(), _CONFIG, seed=7, jobs=2
-            )
+        with ExperimentPool(2) as pool:
+            with pytest.raises(KeyError, match="no worker context"):
+                run_campaigns(
+                    injector, workload.runner_factory(), _CONFIG, seed=7,
+                    pool=pool.cell("unknown"),
+                )
 
     def test_uncloned_injector_has_no_worker_payload(self, setup):
         workload, module = setup
@@ -168,8 +178,8 @@ class TestParallelDeterminism:
 
 class TestWorkerEngine:
     """The per-worker execution state: build-once, decode-once, adaptive
-    checkpoint rebuilds.  Exercised in-process — the pool initializers and
-    task runners below are exactly what forked workers execute."""
+    checkpoint rebuilds.  Exercised in-process — the pool initializer and
+    task runner below are exactly what forked workers execute."""
 
     def _context(self, checkpoint_interval=None):
         from repro.experiments.common import campaign_worker_context
@@ -184,11 +194,14 @@ class TestWorkerEngine:
         return injector, workload, campaign_worker_context(injector, workload)
 
     def _schedule(self, injector, workload, count, seed=21):
-        from repro.core.parallel import make_schedule_entry
+        from repro.core.parallel import draw_experiment, schedule_entry
 
         rng = Random(seed)
         runner = workload.build_runner({"n": 90, "seed": 55})
-        return [make_schedule_entry(injector, runner, rng) for _ in range(count)]
+        return [
+            schedule_entry(runner.params, *draw_experiment(injector, runner, rng))
+            for _ in range(count)
+        ]
 
     def test_worker_decodes_module_once(self):
         from repro.core import parallel
@@ -196,11 +209,11 @@ class TestWorkerEngine:
 
         injector, workload, context = self._context()
         tasks = self._schedule(injector, workload, 8)
-        parallel._init_worker(context)
-        parallel._run_scheduled(tasks[0])  # first run pays the lazy decode
+        parallel._init_worker({"cell": context})
+        parallel._run_task(("cell", tasks[0]))  # first run pays the lazy decode
         before = DECODE_EVENTS["functions"]
         for task in tasks[1:]:
-            parallel._run_scheduled(task)
+            parallel._run_task(("cell", task))
         assert DECODE_EVENTS["functions"] == before
 
     def test_sweep_workers_build_every_cell_at_init(self):
@@ -208,11 +221,39 @@ class TestWorkerEngine:
 
         _, _, context_a = self._context()
         _, _, context_b = self._context(checkpoint_interval=30)
-        parallel._init_sweep_worker({"a": context_a, "b": context_b})
-        assert set(parallel._sweep_engines) == {"a", "b"}
-        for engine in parallel._sweep_engines.values():
+        parallel._init_worker({"a": context_a, "b": context_b})
+        assert set(parallel._engines) == {"a", "b"}
+        for engine in parallel._engines.values():
             assert engine.injector is not None  # built eagerly, not per task
-        assert parallel._sweep_engines["b"].injector.checkpoint_interval == 30
+        assert parallel._engines["b"].injector.checkpoint_interval == 30
+
+    def test_spec_cells_build_on_first_task_and_stay_warm(self):
+        from repro.core import parallel
+        from repro.core.parallel import EngineSpec
+
+        spec = EngineSpec("vector_sum", "avx", "all", step_limit=500_000)
+        parent = spec.build()
+        tasks = self._schedule(parent, get_workload("vector_sum"), 3)
+        parallel._init_worker({})  # a service pool forks with no contexts
+        parallel._run_task((spec, tasks[0]))
+        engine = parallel._engines[spec]
+        for task in tasks[1:]:
+            parallel._run_task((spec, task))
+        assert set(parallel._engines) == {spec}
+        assert parallel._engines[spec] is engine  # built once, then reused
+
+    def test_spec_builds_identical_engine_on_both_sides(self):
+        """The parent's engine cache and every worker build a spec's engine
+        through one recipe, so their site tables agree."""
+        from repro.core.parallel import EngineSpec, _WorkerEngine
+
+        spec = EngineSpec("vcopy", "sse", "control")
+        parent = spec.build()
+        worker = _WorkerEngine.build(spec).injector
+        assert worker.engine_identity() == parent.engine_identity()
+        assert [s.site_id for s in worker.sites] == [
+            s.site_id for s in parent.sites
+        ]
 
     def test_worker_rebuilds_golden_for_repeated_inputs(self):
         """Checkpointing workers synthesize the golden for a first-seen
@@ -222,7 +263,7 @@ class TestWorkerEngine:
 
         injector, workload, context = self._context(checkpoint_interval=30)
         tasks = self._schedule(injector, workload, 6)
-        engine = _WorkerEngine(context)
+        engine = _WorkerEngine.build(context)
         engine.run_task(tasks[0])
         first_round = dict(engine.injector.checkpoint_stats)
         assert first_round["tapes_recorded"] == 0  # synthesized golden, no tape
@@ -237,7 +278,7 @@ class TestWorkerEngine:
         tasks = self._schedule(injector, workload, 10)
         from repro.core.parallel import _WorkerEngine
 
-        engine = _WorkerEngine(context)
+        engine = _WorkerEngine.build(context)
         worker_results = [engine.run_task(t) for t in tasks]
         runner = workload.build_runner({"n": 90, "seed": 55})
         golden = injector.cached_golden(runner)

@@ -189,3 +189,25 @@ def test_health_reports_engine_reuse(daemon):
     # Second campaign on the same spec reused the warm parent engine.
     assert health["engines"]["builds"] == 1
     assert health["engines"]["reuses"] >= 1
+
+
+def test_engine_is_back_in_the_cache_when_complete_is_emitted(tmp_path):
+    """A closed-loop client submits its next campaign on the ``complete``
+    event; the engine must already be released by then, or that next
+    campaign races the release and pays a cold build."""
+    from repro.service.protocol import normalize_submission
+    from repro.service.workers import EngineCache, execute_submission
+
+    engines = EngineCache()
+    sub = normalize_submission(
+        {"workload": "vcopy", "category": "pure-data", "scale": "smoke"}
+    )
+    pooled_at_complete = []
+
+    def emit(event):
+        if event["event"] == "complete":
+            pooled_at_complete.append(engines.stats()["pooled"])
+
+    with CampaignStore(tmp_path / "store") as store:
+        execute_submission(store, sub, None, engines, emit)
+    assert pooled_at_complete == [1]

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.core import CampaignConfig, ENGINES, FaultInjector, run_campaigns
+from repro.core import (
+    CampaignConfig,
+    ENGINES,
+    ExperimentPool,
+    FaultInjector,
+    run_campaigns,
+)
 from repro.experiments.common import campaign_worker_context
 from repro.store import CampaignAborted, CampaignStore, TornTailWarning
 from repro.workloads import get_workload
@@ -45,16 +51,18 @@ def _run(store, engine, jobs=1, abort_after=None):
     w = get_workload("vcopy")
     injector = _injector(engine)
     recorder = _recorder(store, injector, abort_after=abort_after)
-    worker_context = campaign_worker_context(injector, w) if jobs > 1 else None
-    return run_campaigns(
-        injector,
-        w.runner_factory(),
-        _CONFIG,
-        seed=_SEED,
-        jobs=jobs,
-        worker_context=worker_context,
-        recorder=recorder,
-    )
+
+    def run(pool=None):
+        return run_campaigns(
+            injector, w.runner_factory(), _CONFIG, seed=_SEED, pool=pool,
+            recorder=recorder,
+        )
+
+    if jobs == 1:
+        return run()
+    context = campaign_worker_context(injector, w)
+    with ExperimentPool(jobs, {"cell": context}) as pool:
+        return run(pool.cell("cell"))
 
 
 def _journal_records(store):
