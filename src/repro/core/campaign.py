@@ -41,26 +41,37 @@ class CampaignConfig:
     require_normality: bool = True
 
 
+def meets_stopping_rule(sdc_samples: list[float], config: CampaignConfig) -> bool:
+    """The §IV-D stopping rule on the SDC-rate samples gathered so far.
+
+    At least ``min_campaigns`` samples, a t-based margin of error within
+    ``margin_target`` and, if required, a near-normal sample distribution.
+    :func:`run_campaigns` applies it after each campaign and
+    :func:`would_converge` to each prefix, so the rule lives only here.
+    """
+    return (
+        len(sdc_samples) >= config.min_campaigns
+        and margin_of_error(sdc_samples, config.confidence) <= config.margin_target
+        and (not config.require_normality or is_near_normal(sdc_samples))
+    )
+
+
 def would_converge(sdc_samples: list[float], config: CampaignConfig) -> bool:
     """Would a convergence-gated run have stopped within these samples?
 
-    Prefix-evaluates exactly the predicate :func:`run_campaigns` applies
-    after each campaign (t-based margin of error within target, optional
-    near-normality, ``min_campaigns`` warm-up).  Shard runs disable the
-    early exit — every shard must consume the identical full-budget
+    Prefix-evaluates :func:`meets_stopping_rule`, exactly as
+    :func:`run_campaigns` applies it after each campaign.  Shard runs disable
+    the early exit — every shard must consume the identical full-budget
     schedule or the stripes would desynchronize — so the convergence flag
     is recomputed from the recorded samples instead: here at the end of a
     ``--shards 1`` baseline run, and in :func:`repro.store.merge.
     merge_shards` from the reassembled journal.  Both paths see the same
     samples, so the flag lands byte-identical in both manifests.
     """
-    for n in range(config.min_campaigns, len(sdc_samples) + 1):
-        prefix = sdc_samples[:n]
-        moe_ok = margin_of_error(prefix, config.confidence) <= config.margin_target
-        normal_ok = (not config.require_normality) or is_near_normal(prefix)
-        if moe_ok and normal_ok:
-            return True
-    return False
+    return any(
+        meets_stopping_rule(sdc_samples[:n], config)
+        for n in range(config.min_campaigns, len(sdc_samples) + 1)
+    )
 
 
 @dataclass
@@ -351,12 +362,9 @@ def run_campaigns(
             campaigns.append(stats)
             sdc_samples.append(stats.rate("sdc"))
 
-            if shard is None and len(campaigns) >= config.min_campaigns:
-                moe_ok = margin_of_error(sdc_samples, config.confidence) <= config.margin_target
-                normal_ok = (not config.require_normality) or is_near_normal(sdc_samples)
-                if moe_ok and normal_ok:
-                    converged = True
-                    break
+            if shard is None and meets_stopping_rule(sdc_samples, config):
+                converged = True
+                break
     finally:
         if recorder is not None:
             # Whatever happened — convergence, a crash, a deliberate abort —
