@@ -153,7 +153,7 @@ class CampaignSummary:
     #: faulty run skipped), ``misses`` (executed and recorded this run),
     #: ``recorded`` (the campaign's total stored records).  ``None`` on
     #: storeless runs — same shape and vocabulary as ``golden_cache``, so
-    #: ``status`` and perf reports share one accounting path.
+    #: ``status`` and benchmark reports share one accounting path.
     store: dict | None = None
 
     @property

@@ -13,10 +13,9 @@ hosts.
 
 ``sequential=True`` runs the same forked shard processes one at a time.
 That is the honest benchmarking mode on a small machine: each shard's
-wall time is measured with the whole machine to itself, and the
-*simulated* cluster wall — ``max(shard seconds) + merge seconds`` — is
-what N single-core hosts would deliver, while ``machine_seconds`` (the
-sum) is what this one machine actually spent.
+wall time is measured with the whole machine to itself, so
+``max(shard_seconds) + merge_seconds`` is what N single-core hosts would
+deliver.
 """
 
 from __future__ import annotations
@@ -57,25 +56,6 @@ class ClusterResult:
     @property
     def shard_seconds(self) -> list[float]:
         return [s.seconds for s in self.shards]
-
-    @property
-    def simulated_wall_seconds(self) -> float:
-        """What N independent hosts would experience: slowest shard + merge."""
-        return max(self.shard_seconds, default=0.0) + self.merge_seconds
-
-    @property
-    def machine_seconds(self) -> float:
-        """What this one machine spent running every stripe itself."""
-        return sum(self.shard_seconds) + self.merge_seconds
-
-    def skew(self, q: float = 0.99) -> float:
-        """Shard load imbalance: the ``q``-quantile shard over the mean."""
-        seconds = sorted(self.shard_seconds)
-        if not seconds or not any(seconds):
-            return 1.0
-        rank = min(len(seconds) - 1, max(0, round(q * (len(seconds) - 1))))
-        mean = sum(seconds) / len(seconds)
-        return seconds[rank] / mean
 
 
 def _shard_main(parent, index, count, worker, conn) -> None:

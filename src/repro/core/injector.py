@@ -66,6 +66,11 @@ from .sites import StaticSite, enumerate_module_sites, filter_sites
 #: Execution engines implementing the two-execution protocol.
 ENGINES = ("direct", "instrumented", "compiled")
 
+#: The engine every experiment, CLI verb and service submission uses unless
+#: told otherwise.  The engine is part of every campaign's content key, so
+#: changing this value re-keys the journals of default runs.
+DEFAULT_ENGINE = "direct"
+
 #: A runner drives one complete program execution against a fresh
 #: interpreter (allocate inputs, call the kernel, gather outputs) and must
 #: be deterministic: the golden and faulty runs replay the same runner.
@@ -161,7 +166,7 @@ class FaultInjector:
         clone: bool = True,
         respect_masks: bool = True,
         golden_cache_size: int = 1024,
-        engine: str = "direct",
+        engine: str = DEFAULT_ENGINE,
         checkpoint_interval: int | None = None,
         convergence_exit: bool = True,
     ):

@@ -27,7 +27,13 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .injector import BindingsFactory, FaultInjector, GoldenRun, Runner
+from .injector import (
+    DEFAULT_ENGINE,
+    BindingsFactory,
+    FaultInjector,
+    GoldenRun,
+    Runner,
+)
 from .outcomes import ExperimentResult
 
 
@@ -65,7 +71,7 @@ class EngineSpec:
     workload: str
     target: str
     category: str
-    engine: str = "direct"
+    engine: str = DEFAULT_ENGINE
     step_limit: int = 2_000_000
 
     def build(self) -> FaultInjector:

@@ -1,6 +1,6 @@
 """Per-figure experiment regeneration drivers (Table I, Figs 10-12)."""
 
-from . import ablations, bitpos, fig10, fig11, fig12, perf, table1, vecdiff
+from . import ablations, bitpos, fig10, fig11, fig12, table1, vecdiff
 from .common import CATEGORIES, ExperimentReport, SCALES, TARGETS, cell_seed
 
 EXPERIMENTS = {
@@ -10,7 +10,6 @@ EXPERIMENTS = {
     "fig12": fig12,
     "ablations": ablations,
     "bitpos": bitpos,
-    "perf": perf,
     "vecdiff": vecdiff,
 }
 
@@ -26,7 +25,6 @@ __all__ = [
     "fig10",
     "fig11",
     "fig12",
-    "perf",
     "table1",
     "vecdiff",
 ]

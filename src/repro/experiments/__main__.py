@@ -6,7 +6,6 @@ Usage::
     python -m repro.experiments fig10
     python -m repro.experiments fig11 [--scale full] [--benchmark stencil ...]
     python -m repro.experiments fig12 [--scale full]
-    python -m repro.experiments perf
     python -m repro.experiments all [--json-dir results/]
     python -m repro.experiments fig11 --store store/   # record as you go
     python -m repro.experiments status --store store/  # progress per cell
@@ -30,8 +29,8 @@ processes.  ``--shards`` (like ``--jobs``) never enters experiment keys:
 shard runs disable the convergence early-exit and always cover the full
 ``max_campaigns`` budget, so every stripe sees the same schedule.
 
-``--jobs N`` fans the fault-injection campaigns (fig11/fig12/perf) out over
-N worker processes; results are bit-identical to ``--jobs 1``.
+``--jobs N`` fans the fault-injection campaigns (fig11/fig12/vecdiff) out
+over N worker processes; results are bit-identical to ``--jobs 1``.
 
 ``--store DIR`` journals every fault-injection experiment into a durable
 campaign store as it completes (and memoizes the non-campaign tables).  An
@@ -43,19 +42,20 @@ journal alone.  ``--abort-after N`` deliberately crashes a recorded run
 after N new experiments (testing hook for the resume machinery).
 
 ``--engine direct|instrumented|compiled`` selects the injection engine
-(fig11/fig12/perf/ablations).  All engines produce bit-identical
+(fig11/fig12/vecdiff/ablations).  All engines produce bit-identical
 experiment streams; ``direct`` (the default) folds fault sites into the
 decoded interpreter, ``instrumented`` splices VULFI's ``injectFault<Ty>Ty``
 calls into a cloned module, and ``compiled`` exec-compiles superblock
-chains into specialized closures (fastest; checkpoints hook at superblock
-boundaries, so it refuses ``--no-checkpoints``).  ``perf`` benchmarks all
-engines side by side unless one is forced.
+chains into specialized closures (fastest on raw dispatch).
 
 ``--checkpoint-interval N`` records a golden VM snapshot every N dynamic
-sites (fig11/fig12/perf); faulty runs then restore the nearest snapshot
-before their target site and replay only the suffix — bit-identical to
-full replay.  ``--no-checkpoints`` disables snapshots entirely (perf
-defaults them on; fig11/fig12 default off).
+sites (fig11/fig12/vecdiff; off by default); faulty runs then restore the
+nearest snapshot before their target site and replay only the suffix —
+bit-identical to full replay.
+
+Throughput is measured outside this CLI: ``perfbench/run.py`` is the
+end-to-end and per-layer benchmark, and ``benchmarks/test_speed_ratios.py``
+holds the engine speed ratios.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..core.injector import DEFAULT_ENGINE, ENGINES
 from . import EXPERIMENTS
 
 
@@ -78,7 +79,7 @@ SERVICE_COMMANDS = ("serve", "submit", "watch")
 
 #: Experiments that accept ``--shards`` (campaign sweeps; the memoized
 #: table experiments have no schedule to stripe).
-SHARDABLE = ("fig11", "fig12", "perf", "vecdiff")
+SHARDABLE = ("fig11", "fig12", "vecdiff")
 
 #: Campaign experiments whose cell set ``--benchmark`` can restrict.
 BENCHMARK_FILTERED = ("fig11", "vecdiff")
@@ -106,13 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("direct", "instrumented", "compiled"),
+        choices=ENGINES,
         default=None,
-        help="injection engine for campaign experiments (default: direct; "
-        "all engines are bit-identical — 'instrumented' is VULFI's "
-        "IR-splicing reference semantics, 'compiled' the threaded-code "
-        "superblock engine; perf benchmarks every engine unless one is "
-        "forced here)",
+        help=f"injection engine for campaign experiments (default: "
+        f"{DEFAULT_ENGINE}; all engines are bit-identical — 'instrumented' "
+        "is VULFI's IR-splicing reference semantics, 'compiled' the "
+        "threaded-code superblock engine)",
     )
     parser.add_argument(
         "--checkpoint-interval",
@@ -121,13 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="record a golden VM snapshot every N dynamic sites; faulty "
         "runs restore the nearest one before their target site "
-        "(bit-identical prefix skipping; fig11/fig12 default off, perf "
-        "defaults on)",
-    )
-    parser.add_argument(
-        "--no-checkpoints",
-        action="store_true",
-        help="disable golden-run snapshots even where they default on (perf)",
+        "(bit-identical prefix skipping; default off)",
     )
     parser.add_argument(
         "--store",
@@ -152,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         help="partition the campaign schedule: 'i/N' runs stripe i into "
         "<store>/shard-i/ (one distributed worker); a bare N forks N such "
         "runs locally and merges them; '1' is the full-budget serial "
-        "baseline the merged journal is byte-identical to (fig11/fig12 "
-        "with --store; for perf, a bare count to sweep in shard_bench)",
+        "baseline the merged journal is byte-identical to (fig11/fig12/"
+        "vecdiff, with --store)",
     )
     parser.add_argument(
         "--out",
@@ -219,15 +213,6 @@ def main(argv: list[str] | None = None) -> int:
         help="submit: stream the campaign's events after submitting",
     )
     args = parser.parse_args(argv)
-    if args.no_checkpoints and args.checkpoint_interval is not None:
-        parser.error("--no-checkpoints conflicts with --checkpoint-interval")
-    if args.no_checkpoints and args.engine == "compiled":
-        parser.error(
-            "--engine compiled --no-checkpoints would silently fall "
-            "faulty-run prefix skipping back to full replays (the compiled "
-            "engine takes snapshots at superblock boundaries); drop "
-            "--no-checkpoints or pick --engine direct"
-        )
     if args.experiment in STORE_COMMANDS and args.store is None:
         parser.error(f"{args.experiment} requires --store DIR")
     if args.abort_after is not None and args.store is None:
@@ -250,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
 
     shards = None
     if args.shards is not None:
-        from ..store import ShardSpec, StoreError, parse_shards
+        from ..store import StoreError, parse_shards
 
         if args.experiment not in SHARDABLE:
             parser.error(
@@ -262,13 +247,7 @@ def main(argv: list[str] | None = None) -> int:
             shards = parse_shards(args.shards)
         except StoreError as exc:
             parser.error(str(exc))
-        if args.experiment == "perf":
-            if isinstance(shards, ShardSpec):
-                parser.error(
-                    "perf takes a bare shard count (--shards N) to sweep "
-                    "in shard_bench, not a partition"
-                )
-        elif args.store is None:
+        if args.store is None:
             parser.error("--shards requires --store (shards are stores)")
 
     # merge / verify / sharded status never open (or create) a store in
@@ -304,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # A bare --shards N>1 is the simulated cluster: each stripe opens its
     # own store inside a forked child, so no store opens here either.
-    if isinstance(shards, int) and shards > 1 and args.experiment != "perf":
+    if isinstance(shards, int) and shards > 1:
         return _run_cluster(args, shards)
 
     store = None
@@ -318,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             shard_spec = shards
         else:
             store = CampaignStore(args.store)
-            if shards == 1 and args.experiment != "perf":
+            if shards == 1:
                 store.set_shard(ShardSpec(0, 1))
             # A store that is one stripe of a sweep stays one: plain runs
             # and resumes pick the pinned spec back up.
@@ -339,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             return _report_from_store(store, args)
         if args.experiment == "resume":
             return _resume(store, args, shard=shard_spec)
-        return _run_experiments(store, args, shard=shard_spec, shards=shards)
+        return _run_experiments(store, args, shard=shard_spec)
     finally:
         if store is not None:
             if shard_spec is not None:
@@ -349,15 +328,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_one(
     name: str, args, store=None, benchmarks=None, scale=None, engine=None,
-    shard=None, shards=None,
+    shard=None,
 ):
     """Dispatch one experiment driver with the CLI's knobs."""
     mod = EXPERIMENTS[name]
     scale = scale or args.scale
-    engine = engine if engine is not None else (args.engine or "direct")
-    # fig11/fig12 default checkpoints off (None); perf defaults them on
-    # and only needs an override when the user forced a value or none.
-    interval = None if args.no_checkpoints else args.checkpoint_interval
+    engine = engine if engine is not None else (args.engine or DEFAULT_ENGINE)
+    interval = args.checkpoint_interval
     if name in BENCHMARK_FILTERED:
         return mod.run(
             scale, benchmarks=benchmarks, jobs=args.jobs, engine=engine,
@@ -368,30 +345,6 @@ def _run_one(
         return mod.run(
             scale, jobs=args.jobs, engine=engine, checkpoint_interval=interval,
             store=store, abort_after=args.abort_after, shard=shard,
-        )
-    if name == "perf":
-        # None = benchmark both engines side by side; perf measures wall
-        # clock, so it never records to or replays from a store.  A bare
-        # --shards N narrows the shard-scaling sweep to (1, N).
-        from .perf import SHARD_BENCH_COUNTS
-
-        shard_counts = SHARD_BENCH_COUNTS
-        if isinstance(shards, int):
-            shard_counts = (1,) if shards == 1 else (1, shards)
-        if args.no_checkpoints:
-            return mod.run(
-                scale, jobs=args.jobs, engine=args.engine,
-                checkpoint_interval=None, shard_counts=shard_counts,
-            )
-        if args.checkpoint_interval is not None:
-            return mod.run(
-                scale, jobs=args.jobs, engine=args.engine,
-                checkpoint_interval=args.checkpoint_interval,
-                shard_counts=shard_counts,
-            )
-        return mod.run(
-            scale, jobs=args.jobs, engine=args.engine,
-            shard_counts=shard_counts,
         )
     if name == "ablations":
         return mod.run(scale, engine=engine, store=store)
@@ -405,7 +358,7 @@ def _emit(name: str, report, args) -> None:
         report.save(args.json_dir / f"{name}.json")
 
 
-def _run_experiments(store, args, shard=None, shards=None) -> int:
+def _run_experiments(store, args, shard=None) -> int:
     from ..store import CampaignAborted
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -416,7 +369,6 @@ def _run_experiments(store, args, shard=None, shards=None) -> int:
             report = _run_one(
                 name, args, store=store, benchmarks=benchmarks,
                 shard=shard if name in SHARDABLE else None,
-                shards=shards,
             )
         except CampaignAborted as aborted:
             print(f"{name}: {aborted}", file=sys.stderr)
@@ -609,7 +561,7 @@ def _submission_payload(args) -> dict:
         "workload": args.workload,
         "target": args.target,
         "category": args.category,
-        "engine": args.engine or "direct",
+        "engine": args.engine or DEFAULT_ENGINE,
         "scale": args.scale,
         "tenant": args.tenant,
         "priority": args.priority,

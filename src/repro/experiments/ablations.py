@@ -19,7 +19,7 @@ import numpy as np
 
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignStats
-from ..core.injector import FaultInjector
+from ..core.injector import DEFAULT_ENGINE, FaultInjector
 from ..detectors.foreach_invariants import insert_foreach_detectors
 from ..detectors.runtime import DetectorRuntime
 from ..frontend.codegen import generate_module
@@ -33,7 +33,7 @@ from .common import CATEGORIES, ExperimentReport, FIG12_EXPERIMENTS, cell_seed
 
 
 def _mask_ablation_rows(
-    scale: str, engine: str = "direct", store=None
+    scale: str, engine: str = DEFAULT_ENGINE, store=None
 ) -> list[dict]:
     experiments = max(FIG12_EXPERIMENTS[scale] // 4, 20)
     rows = []
@@ -155,7 +155,7 @@ def _placement_ablation_rows(scale: str = "custom", store=None) -> list[dict]:
 HEADERS = ["study", "micro", "variant", "metric"]
 
 
-def run(scale: str = "quick", engine: str = "direct", store=None) -> ExperimentReport:
+def run(scale: str = "quick", engine: str = DEFAULT_ENGINE, store=None) -> ExperimentReport:
     report = ExperimentReport(name="ablations", scale=scale, headers=list(HEADERS))
     report.rows.extend(_mask_ablation_rows(scale, engine=engine, store=store))
     report.rows.extend(_placement_ablation_rows(scale, store=store))

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..core.campaign import CampaignConfig
-from ..core.injector import FaultInjector
+from ..core.injector import DEFAULT_ENGINE, FaultInjector
 from ..core.parallel import ExperimentPool, WorkerContext
 from ..workloads.registry import Workload, build_runner
 
@@ -54,7 +54,7 @@ def cell_injector(
     target: str,
     category: str,
     step_limit: int = 2_000_000,
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
 ) -> FaultInjector:
     """The engine for one (workload, ISA, site category) campaign cell."""

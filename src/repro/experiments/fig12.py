@@ -24,7 +24,7 @@ import numpy as np
 
 from ..analysis.report import pct, render_table
 from ..core.campaign import run_batch
-from ..core.injector import FaultInjector
+from ..core.injector import DEFAULT_ENGINE, FaultInjector
 from ..detectors.runtime import detector_bindings_factory
 from ..vm.interpreter import Interpreter
 from ..workloads.registry import Workload, micro_workloads
@@ -109,7 +109,7 @@ def cell_injector(
     workload: Workload,
     category: str,
     target: str = "avx",
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
 ) -> FaultInjector:
     return FaultInjector(
@@ -124,7 +124,7 @@ def run_cell(
     category: str,
     experiments: int,
     target: str = "avx",
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
@@ -162,7 +162,7 @@ def run_cell(
 def run(
     scale: str = "quick",
     jobs: int = 1,
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
     store=None,
     abort_after: int | None = None,

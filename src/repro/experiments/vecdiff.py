@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignConfig, run_campaigns
-from ..core.injector import FaultInjector
+from ..core.injector import DEFAULT_ENGINE, FaultInjector
 from ..workloads.generated import GeneratedWorkload, form_pairs
 from ..workloads.registry import Workload
 from .common import (
@@ -88,7 +88,7 @@ def run_cell(
     category: str,
     config: CampaignConfig,
     step_limit: int = 2_000_000,
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
@@ -132,7 +132,7 @@ def run(
     scale: str = "quick",
     benchmarks: list[str] | None = None,
     jobs: int = 1,
-    engine: str = "direct",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_interval: int | None = None,
     store=None,
     abort_after: int | None = None,

@@ -12,13 +12,11 @@ the daemon loses nothing: restart resumes in-flight campaigns through the
 store's claim/replay/record protocol to a byte-identical journal.
 
 Entry points: :class:`CampaignService` (the daemon),
-:class:`ServiceClient` (blocking client library), :func:`service_bench`
-(the load-generator benchmark), and the ``serve`` / ``submit`` / ``watch``
-CLI verbs in :mod:`repro.experiments.__main__`.
+:class:`ServiceClient` (blocking client library), and the ``serve`` /
+``submit`` / ``watch`` CLI verbs in :mod:`repro.experiments.__main__`.
 """
 
 from .client import ServiceClient, ServiceUnavailable
-from .loadgen import service_bench
 from .protocol import (
     BadSubmission,
     Submission,
@@ -51,7 +49,6 @@ __all__ = [
     "config_of",
     "execute_submission",
     "normalize_submission",
-    "service_bench",
     "spec_of",
     "status_payload",
     "submission_from_manifest",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..core.campaign import CampaignConfig, CampaignStats
-from ..core.injector import ENGINES
+from ..core.injector import DEFAULT_ENGINE, ENGINES
 from ..core.parallel import EngineSpec
 from ..errors import ReproError
 
@@ -108,7 +108,7 @@ def normalize_submission(payload: dict) -> Submission:
         raise BadSubmission(
             f"category must be one of {CATEGORIES}, got {category!r}"
         )
-    engine = payload.get("engine", "direct")
+    engine = payload.get("engine", DEFAULT_ENGINE)
     if engine not in ENGINES:
         raise BadSubmission(f"engine must be one of {ENGINES}, got {engine!r}")
     scale = payload.get("scale", "smoke")

@@ -5,8 +5,8 @@ order: the driver *claims* a key for each drawn experiment, *replays* it
 from the store when the key is already present (a hit — the faulty run is
 skipped entirely), and otherwise executes it and *records* the bit-exact
 result.  The hit/miss counters mirror :class:`~repro.core.injector.
-GoldenCache`'s naming so campaign summaries, ``status`` output, and perf
-reports share one accounting vocabulary.
+GoldenCache`'s naming so campaign summaries, ``status`` output, and
+benchmark reports share one accounting vocabulary.
 """
 
 from __future__ import annotations

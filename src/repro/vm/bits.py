@@ -189,12 +189,6 @@ def bit_width(ir_type) -> int:
 #   set the quiet bit, keep payload and sign — at the escape points where
 #   the scalar path would have quieted (packed f32 stores, f32->int
 #   bitcasts).  ``tolist`` quiets on its own, matching the scalar loads.
-#
-# ``VECTOR_EVENTS`` counts ndarray traffic for the perf harness: packed
-# slots allocated by compiled chains, list->ndarray packs at chain entry,
-# and ndarray->list unpacks on decoded fallback.
-
-VECTOR_EVENTS = {"ndarray_slots": 0, "list_packs": 0, "fallback_unpacks": 0}
 
 _NP_INT_DTYPES = {1: np.int8, 8: np.int8, 16: np.int16, 32: np.int32, 64: np.int64}
 
@@ -236,11 +230,9 @@ def unpack_lanes(array) -> list:
 
 def as_packed(value, dtype) -> np.ndarray:
     """Register read under the packed representation: ndarrays pass through,
-    canonical lists are packed on the spot (counted, so the perf harness can
-    see churn at chain boundaries)."""
+    canonical lists are packed on the spot."""
     if type(value) is np.ndarray:
         return value
-    VECTOR_EVENTS["list_packs"] += 1
     return np.array(value, dtype)
 
 

@@ -18,12 +18,14 @@ into one specialized Python function, generated as source and
 * step accounting is batched: one compile-time-constant precheck per chain,
   one commit per chain exit, and an extra commit immediately before every
   instruction that can trap, so stats are bit-exact at every trap;
-* **batched vector tier** (:data:`BATCH_VECTORS`): vector registers whose
-  element type has an exact ndarray dtype (:func:`repro.vm.bits.np_dtype`)
-  live as packed NumPy arrays, and whole-vector binops, compares, casts,
-  selects, fnegs, loads/stores, and masked loads/stores compile to single
-  NumPy calls (:mod:`repro.vm.ops` ``*_bulk`` evaluators,
-  :meth:`~repro.vm.memory.Memory.packed_reader`/``packed_writer``).  The
+* **batched vector tier**: vector registers whose element type has an
+  exact ndarray dtype (:func:`repro.vm.bits.np_dtype`) live as packed
+  NumPy arrays, and whole-vector binops, compares, casts, selects, fnegs,
+  loads/stores, and masked loads/stores compile to single NumPy calls
+  (:mod:`repro.vm.ops` ``*_bulk`` evaluators,
+  :meth:`~repro.vm.memory.Memory.packed_reader`/``packed_writer``).
+  Trapping integer ops and types with no bulk kernel keep the unrolled
+  per-lane code.  The
   canonical list representation remains the interface everywhere else: any
   read in a lane-wise context unpacks via ``tolist`` (an exact widening —
   see vm/bits.py), decoded fallback canonicalizes the whole register file
@@ -66,7 +68,6 @@ an :class:`~repro.vm.decode.InjectionPlan` is present, else on
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -92,7 +93,6 @@ from ..ir.module import Function, Module
 from ..ir.types import FloatType, IntType, PointerType, VectorType
 from . import ops
 from .bits import (
-    VECTOR_EVENTS,
     as_lanes,
     as_packed,
     np_dtype,
@@ -117,24 +117,6 @@ UNROLL_MAX = 8
 
 #: Maximum number of basic blocks folded into one superblock chain.
 CHAIN_MAX_BLOCKS = 8
-
-#: Whether newly compiled programs emit the packed-ndarray vector tier.
-#: Captured into the generated source at compile time, so one program is
-#: internally consistent; toggle via :func:`set_vector_batching` (perf
-#: harness A/B runs compile fresh modules per mode).  The
-#: ``REPRO_VECTOR_BATCHING`` env var sets the process default (``0``
-#: disables), so CI can run whole differential sweeps on the per-lane
-#: tier without touching test code.
-BATCH_VECTORS = os.environ.get("REPRO_VECTOR_BATCHING", "1") != "0"
-
-
-def set_vector_batching(enabled: bool) -> bool:
-    """Enable/disable the batched vector tier for *subsequently compiled*
-    programs; returns the previous setting."""
-    global BATCH_VECTORS
-    previous = BATCH_VECTORS
-    BATCH_VECTORS = bool(enabled)
-    return previous
 
 #: Process-wide compile counters, mirroring ``DECODE_EVENTS``: ``functions``
 #: increments once per :class:`CompiledFunction` build.  Tests use it to
@@ -325,7 +307,6 @@ class _FunctionCompiler:
             "_phi_err": _phi_err,
             "_ul": as_lanes,
             "_pk": as_packed,
-            "_VE": VECTOR_EVENTS,
             "_WH": np.where,
             "_SB": np.signbit,
             "_QN": quiet_nan_f32,
@@ -528,8 +509,6 @@ class _FunctionCompiler:
                 prologue.append("    _ws = rt.site_widths")
         if loop:
             prologue.append("    _bh = vm.block_hook")
-        if em.packed_defs:
-            prologue.append("    _vs = 0")
         for hoist in em.hoists:
             prologue.append("    " + hoist)
         prologue.append("    try:")
@@ -548,8 +527,6 @@ class _FunctionCompiler:
                     "and _dc >= rt._next_checkpoint:"
                 )
                 epilogue.append("            rt.checkpoint_pending = True")
-        if em.packed_defs:
-            epilogue.append("        _VE['ndarray_slots'] += _vs")
         self.sources.append("\n".join(prologue + body + epilogue) + "\n")
         return name
 
@@ -578,8 +555,6 @@ class _ChainEmitter:
         # precedes every trap point — so the tape at any trap is exact).
         self.pending_sites = 0
         self.pending_widths = b""
-        self.packed_defs = 0
-        self.packed_flushed = 0
         self._mem_name = None
         self._packed_mems: dict = {}
         # Unknown-representation locals (list OR ndarray at run time, e.g.
@@ -665,10 +640,6 @@ class _ChainEmitter:
         if v:
             self.line(f"_sv += {v}")
         self.pending = [0, 0, 0]
-        d = self.packed_defs - self.packed_flushed
-        if d:
-            self.line(f"_vs += {d}")
-            self.packed_flushed = self.packed_defs
 
     def emit_exits(self) -> None:
         # Runtime/stats write-back now lives in the chain's ``finally``;
@@ -729,7 +700,7 @@ class _ChainEmitter:
                 self.line(f"{name} = {vname}.tolist()")
             elif uname is not None:
                 self.line(f"{name} = _ul({uname})")
-            elif BATCH_VECTORS and isinstance(payload.type, VectorType):
+            elif isinstance(payload.type, VectorType):
                 # The register may hold a packed slot left by an earlier
                 # chain; _ul is a list passthrough otherwise.
                 self._emit_reg_load(
@@ -833,7 +804,6 @@ class _ChainEmitter:
         else:
             self.line(f"regs[{key}] = {name} = {expr}")
         self.vlocals[instr] = name
-        self.packed_defs += 1
         return name
 
     def store_def_unknown(self, instr, expr: str) -> None:
@@ -877,8 +847,6 @@ class _ChainEmitter:
         """The packed dtype a phi normalizes to, or ``None`` to stay
         canonical.  Normalizing batchable vector phis at every edge keeps
         the phi's representation statically known to both caches."""
-        if not BATCH_VECTORS:
-            return None
         ty = phi.type
         if not isinstance(ty, VectorType):
             return None
@@ -1158,11 +1126,7 @@ class _ChainEmitter:
             lty = instr.type
             mem = self.memref()
             p = self.rd(instr.operands[0])
-            if (
-                BATCH_VECTORS
-                and isinstance(lty, VectorType)
-                and np_dtype(lty.element) is not None
-            ):
+            if isinstance(lty, VectorType) and np_dtype(lty.element) is not None:
                 # Bulk read into a packed slot; the accessor's own miss
                 # path raises the exact per-lane traps.
                 rdr = self.packed_mem_ref("reader", lty)
@@ -1175,11 +1139,7 @@ class _ChainEmitter:
             self.commit()
             vty = instr.value.type
             mem = self.memref()
-            if (
-                BATCH_VECTORS
-                and isinstance(vty, VectorType)
-                and np_dtype(vty.element) is not None
-            ):
+            if isinstance(vty, VectorType) and np_dtype(vty.element) is not None:
                 v = self.rd_vec(instr.operands[0], np_dtype(vty.element))
                 p = self.rd(instr.operands[1])
                 wtr = self.packed_mem_ref("writer", vty)
@@ -1246,7 +1206,7 @@ class _ChainEmitter:
         if trapping:
             self.commit()
         if isinstance(ty, VectorType):
-            if BATCH_VECTORS and not trapping:
+            if not trapping:
                 dt = np_dtype(ty.element)
                 bulk = ops.binop_bulk(instr.opcode, ty.element)
                 if dt is not None and bulk is not None:
@@ -1294,7 +1254,7 @@ class _ChainEmitter:
 
     def _emit_compare(self, instr) -> bool:
         operand_ty = instr.lhs.type
-        if isinstance(operand_ty, VectorType) and BATCH_VECTORS:
+        if isinstance(operand_ty, VectorType):
             dt = np_dtype(operand_ty.element)
             bulk = ops.compare_bulk(instr.opcode, instr.predicate, operand_ty.element)
             if dt is not None and bulk is not None:
@@ -1331,17 +1291,16 @@ class _ChainEmitter:
 
     def _emit_select(self, instr) -> bool:
         if instr.condition.type.is_vector():
-            if BATCH_VECTORS:
-                dt = np_dtype(instr.type.element)
-                cdt = np_dtype(instr.condition.type.element)
-                if dt is not None and cdt is not None:
-                    # Eager arms, like the unrolled path below; np.where on
-                    # an int8 0/1 condition returns a fresh array.
-                    c = self.rd_vec(instr.operands[0], cdt)
-                    a = self.rd_vec(instr.operands[1], dt)
-                    b = self.rd_vec(instr.operands[2], dt)
-                    self.store_def_packed(instr, f"_WH({c}, {a}, {b})")
-                    return True
+            dt = np_dtype(instr.type.element)
+            cdt = np_dtype(instr.condition.type.element)
+            if dt is not None and cdt is not None:
+                # Eager arms, like the unrolled path below; np.where on an
+                # int8 0/1 condition returns a fresh array.
+                c = self.rd_vec(instr.operands[0], cdt)
+                a = self.rd_vec(instr.operands[1], dt)
+                b = self.rd_vec(instr.operands[2], dt)
+                self.store_def_packed(instr, f"_WH({c}, {a}, {b})")
+                return True
             c = self.rd(instr.operands[0])
             a = self.rd(instr.operands[1])
             b = self.rd(instr.operands[2])
@@ -1371,16 +1330,13 @@ class _ChainEmitter:
         src_ty = instr.operands[0].type
         dst_ty = instr.type
         if isinstance(dst_ty, VectorType):
-            if BATCH_VECTORS:
-                sdt = np_dtype(src_ty.scalar_type)
-                bulk = ops.cast_bulk(
-                    instr.opcode, src_ty.scalar_type, dst_ty.element
-                )
-                if sdt is not None and bulk is not None:
-                    a = self.rd_vec(instr.operands[0], sdt)
-                    fn = self.fc.bind(bulk, "f")
-                    self.store_def_packed(instr, f"{fn}({a})")
-                    return True
+            sdt = np_dtype(src_ty.scalar_type)
+            bulk = ops.cast_bulk(instr.opcode, src_ty.scalar_type, dst_ty.element)
+            if sdt is not None and bulk is not None:
+                a = self.rd_vec(instr.operands[0], sdt)
+                fn = self.fc.bind(bulk, "f")
+                self.store_def_packed(instr, f"{fn}({a})")
+                return True
             a = self.rd(instr.operands[0])
             fn = self.fc.bind(
                 ops.cast_fn(instr.opcode, src_ty.scalar_type, dst_ty.element),
@@ -1473,7 +1429,7 @@ class _ChainEmitter:
         return True
 
     def _emit_fneg(self, instr) -> bool:
-        if instr.type.is_vector() and BATCH_VECTORS:
+        if instr.type.is_vector():
             dt = np_dtype(instr.type.element)
             bulk = ops.fneg_bulk(instr.type.element)
             if dt is not None and bulk is not None:
@@ -1608,7 +1564,7 @@ class _ChainEmitter:
             conv = info.mask_convention
             edt = np_dtype(elem)
             mdt = np_dtype(mask_ty.element)
-            if BATCH_VECTORS and edt is not None and mdt is not None:
+            if edt is not None and mdt is not None:
                 # Bulk path, gated at run time on the whole span being
                 # in-bounds: reading the inactive lanes is then harmless
                 # (no side effects, no traps), and an out-of-bounds span
@@ -1654,7 +1610,6 @@ class _ChainEmitter:
                     self.ulocals[instr] = out
                 else:
                     self.line(f"regs[{key}] = {out}")
-                self.packed_defs += 1
                 return True
             addr = self.rd(instr.operands[0])
             mask = self.rd(instr.operands[info.mask_index])
@@ -1677,7 +1632,7 @@ class _ChainEmitter:
             conv = info.mask_convention
             edt = np_dtype(elem)
             mdt = np_dtype(mask_ty.element)
-            if BATCH_VECTORS and edt is not None and mdt is not None:
+            if edt is not None and mdt is not None:
                 # Read-modify-write over the whole span: active lanes take
                 # the (f32-quieted) data, inactive lanes are written back
                 # with their *raw* current bytes — hence the raw reader and
@@ -1808,11 +1763,7 @@ class _ChainEmitter:
                 self.line("return (None,)")
             else:
                 is_reg, value = payload
-                if (
-                    is_reg
-                    and BATCH_VECTORS
-                    and isinstance(value.type, VectorType)
-                ):
+                if is_reg and isinstance(value.type, VectorType):
                     # Return values escape to runners/callers: canonicalize
                     # a packed slot back to the lane list.
                     self.line(f"return ({self.rd_reg(value)},)")

@@ -58,7 +58,7 @@ from ..ir.values import (
 import numpy as np
 
 from . import ops
-from .bits import VECTOR_EVENTS, round_f32
+from .bits import round_f32
 
 # Terminator tags.
 T_BR = 0
@@ -432,15 +432,10 @@ def unpack_regs(regs: dict) -> None:
     register dict (:mod:`repro.vm.compile`); the decoded closures here
     index, mutate, and bit-flip vector registers as canonical Python lists,
     so every fallback into decoded execution converts first.  ``tolist`` is
-    the exact widening (f32 lanes quiet like ``struct.unpack('<f')``), and
-    the conversion count is reported by the perf harness."""
-    n = 0
+    the exact widening (f32 lanes quiet like ``struct.unpack('<f')``)."""
     for key, value in regs.items():
         if type(value) is np.ndarray:
             regs[key] = value.tolist()
-            n += 1
-    if n:
-        VECTOR_EVENTS["fallback_unpacks"] += n
 
 
 def _raiser(message: str):

@@ -170,5 +170,5 @@ class TestCLI:
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "table1", "fig10", "fig11", "fig12", "ablations", "bitpos",
-            "perf", "vecdiff",
+            "vecdiff",
         }

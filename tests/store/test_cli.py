@@ -70,7 +70,6 @@ def test_shards_flag_rejected_outside_shardable_runs(capsys, tmp_path):
     for argv in (
         ["fig10", "--shards", "2"],  # not a shardable experiment
         ["fig11", "--scale", "smoke", "--shards", "2"],  # no --store
-        ["perf", "--shards", "0/4"],  # perf only takes a count
         ["fig11", "--store", str(tmp_path / "s"), "--shards", "5/4"],
     ):
         try:
