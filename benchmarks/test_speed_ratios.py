@@ -175,19 +175,23 @@ def test_dispatch_rate_ordering():
     assert ratio >= 3.0, f"compiled dispatch only {ratio:.2f}x direct"
 
 
-def test_checkpoint_restore_beats_full_replay():
+def test_checkpoint_restore_beats_full_replay(monkeypatch):
     """Late faults (last 10% of sites): restoring the nearest checkpoint is
-    >= 1.5x faster than full replay and bit-identical to it."""
+    >= 1.5x faster than full replay and bit-identical to it.  The golden
+    is long enough for the injector's own policy to tape it; only the
+    checkpoint count is patched, to 64 per run."""
+    import repro.core.injector as injector_mod
+
+    monkeypatch.setattr(injector_mod, "CHECKPOINTS_PER_RUN", 64)
     module = _module()
     runner = _runner(1024, 1234)
     plain = FaultInjector(module, category="all", step_limit=2_000_000)
     golden = plain.golden(runner)
     n = golden.dynamic_sites
-    ck = FaultInjector(
-        module, category="all", step_limit=2_000_000,
-        checkpoint_interval=max(1, n // 64),
-    )
-    golden_ck = ck.golden(runner)
+    ck = FaultInjector(module, category="all", step_limit=2_000_000)
+    ck.golden(runner, record_tape=True)  # sizes the next tape
+    golden_ck = ck.golden(runner, record_tape=True)
+    assert golden_ck.checkpoints is not None
     schedule = _schedule(golden, 150, lo=int(n * 0.9) + 1)
     plain_s, plain_r = _sweep(plain, runner, golden, schedule)
     ck_s, ck_r = _sweep(ck, runner, golden_ck, schedule)
@@ -255,7 +259,9 @@ def _service_submissions(count: int) -> list[dict]:
 
 def _cold_run(store: Path, sub: dict) -> float:
     """One campaign the pre-service way: a fresh CLI process and store.
-    Returns its wall seconds."""
+    Returns its wall seconds.  Bytecode goes to a cache beside the store,
+    inside the test's temporary directory: later cold runs reuse it, and
+    nothing is written under ``src/``."""
     t0 = time.monotonic()
     subprocess.run(
         [
@@ -265,7 +271,11 @@ def _cold_run(store: Path, sub: dict) -> float:
             "--store", str(store),
         ],
         check=True, capture_output=True,
-        env={"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        env={
+            "PYTHONPATH": _SRC,
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+            "PYTHONPYCACHEPREFIX": str(store.parent / "pycache"),
+        },
     )
     return time.monotonic() - t0
 

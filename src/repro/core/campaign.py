@@ -145,8 +145,8 @@ class CampaignSummary:
     #: only on hand-built summaries.
     golden_cache: dict | None = None
     #: The injector's ``checkpoint_stats`` (restores, sites skipped,
-    #: convergence exits...) — parent-process counters only; worker-side
-    #: restores are process-local and not aggregated here.
+    #: convergence exits...) — parent-process counters only; pooled faulty
+    #: runs replay in full and record no tapes.
     checkpoints: dict | None = None
     #: :meth:`~repro.store.CampaignRecorder.counters` when the run recorded
     #: to a campaign store: ``hits`` (experiments replayed from the store,
@@ -164,6 +164,9 @@ class CampaignSummary:
 class _Storeless:
     """The recorder of a storeless run: nothing is stored, so nothing
     replays and every drawn experiment executes."""
+
+    def will_execute(self, shard):
+        return True
 
     def claim(self, k, bit, params):
         return None, None
@@ -193,7 +196,8 @@ class _Draw:
 
 
 def _draw_schedule(
-    injector, runner_factory, count, rng, bindings_factory, recorder, shard
+    injector, runner_factory, count, rng, bindings_factory, recorder, shard,
+    inline,
 ):
     """Draw ``count`` experiments in serial RNG order — the one schedule.
 
@@ -201,11 +205,15 @@ def _draw_schedule(
     the parent, whether its faulty run then executes inline or in a pool
     worker.  A shard run draws *every* position — the schedule is one RNG
     stream, so skipping a draw would shift every later shard's triples —
-    but yields only the positions its stripe owns.
+    but yields only the positions its stripe owns.  Only draws whose
+    faulty run will execute ``inline`` may record a checkpoint tape.
     """
     for _ in range(count):
         runner = runner_factory(rng)
-        golden, k, bit = draw_experiment(injector, runner, rng, bindings_factory)
+        record_tape = inline and recorder.will_execute(shard)
+        golden, k, bit = draw_experiment(
+            injector, runner, rng, bindings_factory, record_tape
+        )
         params = getattr(runner, "params", None)
         key, seq = recorder.claim(k, bit, params)
         if shard is not None and not shard.owns(seq):
@@ -267,7 +275,8 @@ def _results(
     """One block of ``count`` experiments' results, in schedule order."""
     recorder = recorder if recorder is not None else _STORELESS
     draws = _draw_schedule(
-        injector, runner_factory, count, rng, bindings_factory, recorder, shard
+        injector, runner_factory, count, rng, bindings_factory, recorder,
+        shard, inline=pool is None,
     )
     if pool is None:
         return _run_inline(injector, draws, bindings_factory, recorder)

@@ -40,7 +40,7 @@ per-run :class:`~repro.core.runtime.FaultRuntime`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Hashable
 
@@ -71,6 +71,14 @@ ENGINES = ("direct", "instrumented", "compiled")
 #: changing this value re-keys the journals of default runs.
 DEFAULT_ENGINE = "direct"
 
+#: The checkpoint policy (DESIGN.md, "Golden-trace checkpoints — policy"),
+#: applied to the last golden an injector executed: a tape spaces about
+#: this many checkpoints over that golden's dynamic sites...
+CHECKPOINTS_PER_RUN = 8
+#: ...and is recorded only if that golden ran at least this many dynamic
+#: instructions (the measured break-even of a tape against full replay).
+MIN_TAPE_INSTRUCTIONS = 4_000
+
 #: A runner drives one complete program execution against a fresh
 #: interpreter (allocate inputs, call the kernel, gather outputs) and must
 #: be deterministic: the golden and faulty runs replay the same runner.
@@ -93,10 +101,9 @@ class GoldenRun:
     #: hand-built GoldenRun objects; the engine then falls back to the lazy
     #: in-run draw (which consumes the identical RNG value).
     site_widths: bytes | None = None
-    #: :class:`~repro.vm.snapshot.CheckpointTape` recorded by the count run
-    #: when the injector has a ``checkpoint_interval``; ``None`` otherwise
-    #: (and on hand-built / worker-synthesized GoldenRun objects).  Process-
-    #: local: never pickled, never shipped to workers.
+    #: :class:`~repro.vm.snapshot.CheckpointTape` when the checkpoint
+    #: policy recorded one, else ``None`` (always on cached goldens).
+    #: Process-local: never pickled, never shipped to workers.
     checkpoints: object | None = None
 
 
@@ -108,7 +115,7 @@ class GoldenCache:
     for one input never change per injector, so each distinct ``input_key``
     is executed once and replayed from here afterwards.  Goldens observed
     with a fired detector are never stored (see
-    :meth:`FaultInjector.cached_golden`).
+    :meth:`FaultInjector.cached_golden`), nor are checkpoint tapes.
     """
 
     def __init__(self, maxsize: int = 1024):
@@ -131,6 +138,8 @@ class GoldenCache:
         return golden
 
     def put(self, key: Hashable, golden: GoldenRun) -> None:
+        if golden.checkpoints is not None:  # tapes never enter the cache
+            golden = replace(golden, checkpoints=None)
         self._entries[key] = golden
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
@@ -167,30 +176,18 @@ class FaultInjector:
         respect_masks: bool = True,
         golden_cache_size: int = 1024,
         engine: str = DEFAULT_ENGINE,
-        checkpoint_interval: int | None = None,
-        convergence_exit: bool = True,
     ):
         if engine not in ENGINES:
             raise InjectionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise InjectionError(
-                f"checkpoint_interval must be >= 1 dynamic sites, got "
-                f"{checkpoint_interval}"
             )
         self.engine = engine
         self.category = category
         self.functions = functions
         self.step_limit = step_limit
         self.respect_masks = respect_masks
-        #: Record a golden checkpoint every N dynamic sites (None = off).
-        #: Faulty runs then restore the nearest checkpoint strictly before
-        #: their target site instead of replaying the whole prefix.
-        self.checkpoint_interval = checkpoint_interval
-        #: With checkpoints on, also watch the faulty run for re-convergence
-        #: with the recorded golden state and classify Benign immediately.
-        self.convergence_exit = convergence_exit
+        #: ``(dynamic_sites, dynamic_instructions)`` of the last golden run.
+        self._last_golden: tuple[int, int] | None = None
         #: Observability counters for the checkpoint fast-forward path.
         self.checkpoint_stats = {
             "tapes_recorded": 0,
@@ -259,11 +256,13 @@ class FaultInjector:
         execution caches (plans, decoded/compiled programs) are left warm
         on purpose — only the *counters* reset.  The golden cache is
         dropped too: its hit/miss counters are meaningless without its
-        contents' history, and a regime should pay its own golden runs.
+        contents' history, and a regime should pay its own golden runs
+        (and size its own checkpoint tapes).
         """
         for key in self.checkpoint_stats:
             self.checkpoint_stats[key] = 0
         self.golden_cache.clear()
+        self._last_golden = None
 
     def _enumerate(self, module: Module) -> list[StaticSite]:
         sites = filter_sites(
@@ -280,10 +279,9 @@ class FaultInjector:
 
         Everything that (together with a campaign seed and config) fixes
         the experiment stream: pristine-module content hash, engine, site
-        category, step limit, and mask policy.  ``checkpoint_interval`` is
-        deliberately absent — checkpointing is proven bit-identical to
-        full replay, so two injectors differing only there are
-        interchangeable.  This is both the campaign-store key prefix (see
+        category, step limit, and mask policy.  Checkpoint tapes never
+        enter it — restores and convergence exits are proven bit-identical
+        to full replay.  This is both the campaign-store key prefix (see
         :func:`repro.store.keys.campaign_identity`) and the cache key the
         campaign service shares warm engines under across tenants.
         """
@@ -312,8 +310,6 @@ class FaultInjector:
             "step_limit": self.step_limit,
             "respect_masks": self.respect_masks,
             "engine": self.engine,
-            "checkpoint_interval": self.checkpoint_interval,
-            "convergence_exit": self.convergence_exit,
         }
 
     # -- execution ------------------------------------------------------------
@@ -349,26 +345,37 @@ class FaultInjector:
         return vm, fired
 
     def golden(
-        self, runner: Runner, bindings_factory: BindingsFactory | None = None
+        self,
+        runner: Runner,
+        bindings_factory: BindingsFactory | None = None,
+        record_tape: bool = False,
     ) -> GoldenRun:
-        interval = self.checkpoint_interval
-        rt = self._count_runtime
-        if rt is None:
-            rt = FaultRuntime(MODE_COUNT, checkpoint_interval=interval)
-            self._count_runtime = rt
-            self._count_prepared = (
+        """The count run.  ``record_tape``: a faulty run against it will
+        execute in this process, so the checkpoint policy may tape it."""
+        interval = None
+        last = self._last_golden
+        if record_tape and last is not None and last[1] >= MIN_TAPE_INSTRUCTIONS:
+            interval = max(1, last[0] // CHECKPOINTS_PER_RUN)
+        rt, prepared = self._count_runtime, self._count_prepared
+        if interval is not None:
+            # A fresh runtime: the pooled one keeps interval-free closures.
+            rt, prepared = FaultRuntime(MODE_COUNT, tape_interval=interval), None
+        elif rt is None:
+            rt = self._count_runtime = FaultRuntime(MODE_COUNT)
+            prepared = self._count_prepared = (
                 (rt.entries(), rt.spans())
                 if self._plan is not None
                 else (rt.bindings(),)
             )
         else:
             rt.reset_counting()
-        vm, fired = self._prepare_vm(rt, bindings_factory, self._count_prepared)
+        vm, fired = self._prepare_vm(rt, bindings_factory, prepared)
         tape = None
-        if interval:
+        if interval is not None:
             tape = CheckpointTape(interval, self.module.version)
             vm.block_hook = self._recording_hook(rt, tape)
         output = runner(vm)
+        self._last_golden = (rt.dynamic_count, vm.stats.total)
         if tape is not None:
             self.checkpoint_stats["tapes_recorded"] += 1
             self.checkpoint_stats["checkpoints_recorded"] += len(tape)
@@ -419,7 +426,10 @@ class FaultInjector:
         return hook
 
     def cached_golden(
-        self, runner: Runner, bindings_factory: BindingsFactory | None = None
+        self,
+        runner: Runner,
+        bindings_factory: BindingsFactory | None = None,
+        record_tape: bool = False,
     ) -> GoldenRun:
         """The golden run for ``runner``, memoized by ``runner.input_key``.
 
@@ -428,14 +438,16 @@ class FaultInjector:
         identify.  A golden during which a detector fired is returned but
         never stored: it signals broken invariants and must keep failing
         loudly on every experiment, not be masked by a stale cache entry.
+        A tape stays with the returned golden only: cached tapes would
+        multiply peak memory.
         """
         key = getattr(runner, "input_key", None)
         if key is None:
-            return self.golden(runner, bindings_factory)
+            return self.golden(runner, bindings_factory, record_tape)
         cached = self.golden_cache.get(key)
         if cached is not None:
             return cached
-        golden = self.golden(runner, bindings_factory)
+        golden = self.golden(runner, bindings_factory, record_tape)
         if not golden.detector_fired:
             self.golden_cache.put(key, golden)
         return golden
@@ -455,7 +467,7 @@ class FaultInjector:
         with the first execution amortized across same-input experiments.
         """
         if golden is None:
-            golden = self.cached_golden(runner, bindings_factory)
+            golden = self.cached_golden(runner, bindings_factory, True)
         if golden.detector_fired:
             raise InjectionError(
                 "detector fired during the golden run: the invariants are "
@@ -498,20 +510,19 @@ class FaultInjector:
         bit)`` is drawn in the parent, so results are bit-identical to
         serial execution at any worker count.
 
-        When ``golden`` carries a checkpoint tape (this injector has a
-        ``checkpoint_interval``), the run fast-forwards: it restores the
-        latest checkpoint strictly before site ``k`` and executes only the
-        suffix — same outcome, records, and dynamic-instruction totals as
-        the full replay, just without the pre-fault prefix.  With
-        ``convergence_exit``, a post-injection run whose architectural
-        state re-converges bit-for-bit with a recorded golden checkpoint is
-        classified Benign immediately.
+        When ``golden`` carries a checkpoint tape, the run fast-forwards:
+        it restores the latest checkpoint strictly before site ``k`` and
+        executes only the suffix — same outcome, records, and
+        dynamic-instruction totals as the full replay, just without the
+        pre-fault prefix.  A post-injection run whose architectural state
+        re-converges bit-for-bit with a recorded golden checkpoint is
+        classified Benign immediately, with the full replay's result.
         """
         n = golden.dynamic_sites
         rt = FaultRuntime(MODE_INJECT, target_index=k, rng=rng, bit=bit)
         vm, fired = self._prepare_vm(rt, bindings_factory)
         cstats = self.checkpoint_stats
-        tape = golden.checkpoints if self.checkpoint_interval else None
+        tape = golden.checkpoints
         if tape is not None and (
             not tape.checkpoints
             or tape.module_version != self.module.version
@@ -534,7 +545,7 @@ class FaultInjector:
                 cstats["sites_skipped"] += restored.dynamic_count
             else:
                 cstats["full_replays"] += 1
-            if self.convergence_exit and not vm.count_opcodes:
+            if not vm.count_opcodes:
                 hook = self._convergence_hook(rt, tape, restored)
                 if hook is not None:
                     vm.block_hook = hook
@@ -554,7 +565,6 @@ class FaultInjector:
                 site_categories=self._categories_of(rt),
                 golden_dynamic_instructions=golden.dynamic_instructions,
                 faulty_dynamic_instructions=golden.dynamic_instructions,
-                notes={"converged_early": True},
             )
         except VMTrap as trap:
             return ExperimentResult(

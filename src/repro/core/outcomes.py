@@ -14,7 +14,7 @@ detection is a flag on the result, not a fourth outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,7 +70,6 @@ class ExperimentResult:
     #: exit's premise is that the remaining suffix *is* the golden suffix,
     #: so the completed run's total provably equals it.
     faulty_dynamic_instructions: int = 0
-    notes: dict = field(default_factory=dict)
 
     @property
     def is_sdc(self) -> bool:

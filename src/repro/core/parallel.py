@@ -114,13 +114,9 @@ class _WorkerEngine:
     """One worker process's execution state for one campaign cell.
 
     Built exactly once per (worker, cell key), so no task ever pays
-    injector construction or module re-decode.  Checkpoint tapes are
-    process-local (register files are keyed by live IR instruction
-    objects), so a checkpointing worker rebuilds the golden run — tape and
-    all — *adaptively*: only for input keys it sees a second time.  A
-    worker in the unique-input regime therefore never doubles its golden
-    work, while the pooled-input regime records each hot input's tape once
-    and fast-forwards every later experiment on it.
+    injector construction or module re-decode.  Workers run no goldens:
+    each task carries its golden's output and counts, and the faulty run
+    replays in full (checkpoint tapes are process-local).
     """
 
     def __init__(
@@ -132,7 +128,6 @@ class _WorkerEngine:
         self.injector = injector
         self.make_runner = make_runner
         self.bindings_factory = bindings_factory
-        self._seen_keys: set = set()
 
     @classmethod
     def build(cls, source: WorkerContext | EngineSpec) -> "_WorkerEngine":
@@ -152,40 +147,18 @@ class _WorkerEngine:
         return cls(injector, source.make_runner, maker() if maker else None)
 
     def run_task(self, task: ScheduledExperiment) -> ExperimentResult:
-        runner = self.make_runner(task.params)
-        golden = self._golden_for(runner, task)
-        return self.injector.faulty(
-            runner,
-            golden,
-            task.k,
-            bit=task.bit,
-            bindings_factory=self.bindings_factory,
-        )
-
-    def _golden_for(self, runner, task: ScheduledExperiment) -> GoldenRun:
-        injector = self.injector
-        key = getattr(runner, "input_key", None)
-        if injector.checkpoint_interval and key is not None:
-            if key in self._seen_keys:
-                golden = injector.cached_golden(runner, self.bindings_factory)
-                if (
-                    golden.dynamic_sites != task.dynamic_sites
-                    or golden.dynamic_instructions
-                    != task.golden_dynamic_instructions
-                ):
-                    from ..errors import InjectionError
-
-                    raise InjectionError(
-                        "worker golden run disagrees with the parent's "
-                        "schedule: the program is nondeterministic"
-                    )
-                return golden
-            self._seen_keys.add(key)
-        return GoldenRun(
+        golden = GoldenRun(
             output=task.golden_output,
             dynamic_sites=task.dynamic_sites,
             dynamic_instructions=task.golden_dynamic_instructions,
             detector_fired=False,
+        )
+        return self.injector.faulty(
+            self.make_runner(task.params),
+            golden,
+            task.k,
+            bit=task.bit,
+            bindings_factory=self.bindings_factory,
         )
 
 
@@ -274,6 +247,7 @@ def draw_experiment(
     runner: Runner,
     rng,
     bindings_factory: BindingsFactory | None = None,
+    record_tape: bool = False,
 ) -> tuple[GoldenRun, int, int]:
     """Draw one experiment's ``(golden, k, bit)`` in the parent.
 
@@ -282,11 +256,12 @@ def draw_experiment(
     Raises the same :class:`~repro.errors.InjectionError` as
     :meth:`FaultInjector.experiment` for detector-tainted goldens and
     site-free programs.  The campaign driver's schedule loop draws every
-    experiment through here, pooled or not, recorded or not.
+    experiment through here, pooled or not, recorded or not; ``record_tape``
+    marks the draws whose faulty run executes in this process.
     """
     from ..errors import InjectionError
 
-    golden = injector.cached_golden(runner, bindings_factory)
+    golden = injector.cached_golden(runner, bindings_factory, record_tape)
     if golden.detector_fired:
         raise InjectionError(
             "detector fired during the golden run: the invariants are "

@@ -93,7 +93,7 @@ class FaultRuntime:
         rng: Random | None = None,
         bit: int | None = None,
         target_indices: list[int] | None = None,
-        checkpoint_interval: int | None = None,
+        tape_interval: int | None = None,
     ):
         if mode not in (MODE_COUNT, MODE_INJECT):
             raise InjectionError(f"unknown runtime mode {mode!r}")
@@ -133,11 +133,9 @@ class FaultRuntime:
         # raised; the interpreter's block hook takes the snapshot at the
         # next depth-1 block boundary and calls
         # :meth:`acknowledge_checkpoint`.
-        self.checkpoint_interval = (
-            checkpoint_interval if mode == MODE_COUNT else None
-        )
+        self.tape_interval = tape_interval if mode == MODE_COUNT else None
         self.checkpoint_pending = False
-        self._next_checkpoint = checkpoint_interval or 0
+        self._next_checkpoint = tape_interval or 0
 
     @property
     def record(self) -> InjectionRecord | None:
@@ -157,8 +155,6 @@ class FaultRuntime:
             raise InjectionError("only count-mode runtimes are reusable")
         self.dynamic_count = 0
         self.site_widths.clear()
-        self.checkpoint_pending = False
-        self._next_checkpoint = self.checkpoint_interval or 0
 
     def span_hits(self, lo: int, hi: int) -> bool:
         """True when any target index lies in the half-open span ``(lo, hi]``.
@@ -176,7 +172,7 @@ class FaultRuntime:
     def acknowledge_checkpoint(self) -> None:
         """Snapshot taken: clear the flag, arm the next interval mark."""
         self.checkpoint_pending = False
-        self._next_checkpoint = self.dynamic_count + self.checkpoint_interval
+        self._next_checkpoint = self.dynamic_count + self.tape_interval
 
     # -- entry point factory ---------------------------------------------------
 
@@ -195,7 +191,7 @@ class FaultRuntime:
         flip = flip_bit_float if is_float else flip_bit_int
         # None except in a checkpointing count run, so the inject-mode hot
         # path never tests it (``widths`` is None there).
-        interval = self.checkpoint_interval
+        interval = self.tape_interval
 
         def inject(value, active, site_id):
             if not active:
@@ -239,7 +235,7 @@ class FaultRuntime:
         record_widths = widths.extend if widths is not None else None
         targets = self.targets  # empty in count mode
         byte = bytes((bits,))
-        interval = self.checkpoint_interval
+        interval = self.tape_interval
 
         def span(n):
             count = self.dynamic_count

@@ -48,11 +48,6 @@ decoded interpreter, ``instrumented`` splices VULFI's ``injectFault<Ty>Ty``
 calls into a cloned module, and ``compiled`` exec-compiles superblock
 chains into specialized closures (fastest on raw dispatch).
 
-``--checkpoint-interval N`` records a golden VM snapshot every N dynamic
-sites (fig11/fig12/vecdiff; off by default); faulty runs then restore the
-nearest snapshot before their target site and replay only the suffix —
-bit-identical to full replay.
-
 Throughput is measured outside this CLI: ``perfbench/run.py`` is the
 end-to-end and per-layer benchmark, and ``benchmarks/test_speed_ratios.py``
 holds the engine speed ratios.
@@ -113,15 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{DEFAULT_ENGINE}; all engines are bit-identical — 'instrumented' "
         "is VULFI's IR-splicing reference semantics, 'compiled' the "
         "threaded-code superblock engine)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=None,
-        metavar="N",
-        help="record a golden VM snapshot every N dynamic sites; faulty "
-        "runs restore the nearest one before their target site "
-        "(bit-identical prefix skipping; default off)",
     )
     parser.add_argument(
         "--store",
@@ -334,17 +320,15 @@ def _run_one(
     mod = EXPERIMENTS[name]
     scale = scale or args.scale
     engine = engine if engine is not None else (args.engine or DEFAULT_ENGINE)
-    interval = args.checkpoint_interval
     if name in BENCHMARK_FILTERED:
         return mod.run(
             scale, benchmarks=benchmarks, jobs=args.jobs, engine=engine,
-            checkpoint_interval=interval, store=store,
-            abort_after=args.abort_after, shard=shard,
+            store=store, abort_after=args.abort_after, shard=shard,
         )
     if name == "fig12":
         return mod.run(
-            scale, jobs=args.jobs, engine=engine, checkpoint_interval=interval,
-            store=store, abort_after=args.abort_after, shard=shard,
+            scale, jobs=args.jobs, engine=engine, store=store,
+            abort_after=args.abort_after, shard=shard,
         )
     if name == "ablations":
         return mod.run(scale, engine=engine, store=store)

@@ -55,12 +55,11 @@ def cell_injector(
     category: str,
     step_limit: int = 2_000_000,
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
 ) -> FaultInjector:
     """The engine for one (workload, ISA, site category) campaign cell."""
     return FaultInjector(
         workload.compile(target), category=category, step_limit=step_limit,
-        engine=engine, checkpoint_interval=checkpoint_interval,
+        engine=engine,
     )
 
 

@@ -62,7 +62,6 @@ def run_cell(
     config: CampaignConfig,
     step_limit: int = 2_000_000,
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
     recorder=None,
@@ -78,9 +77,7 @@ def run_cell(
     stripe; see :mod:`repro.store.shard`.
     """
     if injector is None:
-        injector = cell_injector(
-            workload, target, category, step_limit, engine, checkpoint_interval
-        )
+        injector = cell_injector(workload, target, category, step_limit, engine)
     summary = run_campaigns(
         injector,
         workload.runner_factory(),
@@ -112,7 +109,6 @@ def run(
     benchmarks: list[str] | None = None,
     jobs: int = 1,
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
     store=None,
     abort_after: int | None = None,
     shard=None,
@@ -131,10 +127,7 @@ def run(
 
     def build(key):
         w, target, category = cells[key]
-        injector = cell_injector(
-            w, target, category, engine=engine,
-            checkpoint_interval=checkpoint_interval,
-        )
+        injector = cell_injector(w, target, category, engine=engine)
         recorder = None
         if store is not None:
             recorder = cell_recorder(
@@ -147,8 +140,7 @@ def run(
         for key, (w, target, category) in cells.items():
             report.rows.append(
                 run_cell(
-                    w, target, category, config, engine=engine,
-                    checkpoint_interval=checkpoint_interval, shard=shard,
+                    w, target, category, config, engine=engine, shard=shard,
                     **cell_kwargs(key),
                 )
             )

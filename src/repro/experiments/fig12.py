@@ -110,12 +110,10 @@ def cell_injector(
     category: str,
     target: str = "avx",
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
 ) -> FaultInjector:
     return FaultInjector(
         workload.compile(target, foreach_detectors=True), category=category,
         step_limit=500_000, engine=engine,
-        checkpoint_interval=checkpoint_interval,
     )
 
 
@@ -125,16 +123,13 @@ def run_cell(
     experiments: int,
     target: str = "avx",
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
     pool=None,
     injector: FaultInjector | None = None,
     recorder=None,
     shard=None,
 ) -> dict:
     if injector is None:
-        injector = cell_injector(
-            workload, category, target, engine, checkpoint_interval
-        )
+        injector = cell_injector(workload, category, target, engine)
     stats = run_batch(
         injector,
         workload.runner_factory(),
@@ -163,7 +158,6 @@ def run(
     scale: str = "quick",
     jobs: int = 1,
     engine: str = DEFAULT_ENGINE,
-    checkpoint_interval: int | None = None,
     store=None,
     abort_after: int | None = None,
     shard=None,
@@ -181,9 +175,7 @@ def run(
 
     def build(key):
         w, category = cells[key]
-        injector = cell_injector(
-            w, category, engine=engine, checkpoint_interval=checkpoint_interval
-        )
+        injector = cell_injector(w, category, engine=engine)
         recorder = None
         if store is not None:
             # Manifested with its measured overhead, so the report can be
@@ -203,8 +195,7 @@ def run(
     ) as cell_kwargs:
         for key, (w, category) in cells.items():
             row = run_cell(
-                w, category, experiments, engine=engine,
-                checkpoint_interval=checkpoint_interval, shard=shard,
+                w, category, experiments, engine=engine, shard=shard,
                 **cell_kwargs(key),
             )
             row["overhead"] = overheads[w.name]

@@ -104,6 +104,9 @@ class StreamingRecorder:
     def store(self):
         return self._recorder.store
 
+    def will_execute(self, shard):
+        return self._recorder.will_execute(shard)
+
     def claim(self, k, bit, params):
         return self._recorder.claim(k, bit, params)
 

@@ -10,10 +10,10 @@ the deterministic two-execution protocol:
 * the **schedule position** — sequence index plus the drawn ``(input
   params, site k, bit)`` triple.
 
-``checkpoint_interval`` and ``--jobs`` are deliberately *excluded*: both
-are proven bit-identical to their baselines (see DESIGN.md), so a store
-recorded serially without checkpoints can resume a ``--jobs 8``
-checkpointed run and vice versa.
+``--jobs`` and the checkpoint path are deliberately *excluded*: both are
+proven bit-identical to their baselines (see DESIGN.md), so a serial
+store, with long goldens taped, resumes a ``--jobs 8`` run, which replays
+in full, and vice versa.
 """
 
 from __future__ import annotations

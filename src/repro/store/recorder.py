@@ -39,6 +39,12 @@ class CampaignRecorder:
         self.misses = 0
         self._seq = 0
 
+    def will_execute(self, shard=None) -> bool:
+        """Is the next position this stripe's and not yet stored?"""
+        seq = self._seq
+        owned = shard is None or shard.owns(seq)
+        return owned and not self.store.holds_position(self.campaign_key, seq)
+
     def claim(self, k: int, bit: int, params) -> tuple[str, int]:
         """The content key for the next experiment in schedule order."""
         seq = self._seq

@@ -117,7 +117,7 @@ def encode_result(result: ExperimentResult) -> dict:
         "site_categories": sorted(result.site_categories),
         "golden_dynamic_instructions": result.golden_dynamic_instructions,
         "faulty_dynamic_instructions": result.faulty_dynamic_instructions,
-        "notes": dict(result.notes),
+        "notes": {},  # always empty: records never show the execution path
     }
 
 
@@ -132,5 +132,4 @@ def decode_result(data: dict) -> ExperimentResult:
         site_categories=frozenset(data["site_categories"]),
         golden_dynamic_instructions=data["golden_dynamic_instructions"],
         faulty_dynamic_instructions=data["faulty_dynamic_instructions"],
-        notes=dict(data["notes"]),
     )

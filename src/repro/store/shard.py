@@ -2,7 +2,7 @@
 
 A sweep's schedule is a pure function of the campaign seed — experiment
 keys are sha256 over campaign identity + schedule position, with ``--jobs``
-and ``checkpoint_interval`` deliberately excluded — so the schedule can be
+and the checkpoint path deliberately excluded — so the schedule can be
 partitioned *by position* without touching identity at all.  Shard ``i`` of
 ``N`` owns every schedule position ``seq`` with ``seq % N == i`` (a round-
 robin stripe, so campaign-sized prefixes stay balanced even when a sweep is

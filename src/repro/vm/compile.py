@@ -523,7 +523,7 @@ class _FunctionCompiler:
             epilogue.append("        rt.dynamic_count = _dc")
             if mode == "count":
                 epilogue.append(
-                    "        if rt.checkpoint_interval is not None "
+                    "        if rt.tape_interval is not None "
                     "and _dc >= rt._next_checkpoint:"
                 )
                 epilogue.append("            rt.checkpoint_pending = True")

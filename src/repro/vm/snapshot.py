@@ -25,9 +25,9 @@ than one full copy.
 
 Nothing here is picklable across processes on purpose: frames key their
 registers by IR instruction objects and block cursors by IR blocks, which
-are only meaningful against the parent's module object.  Parallel workers
-rebuild tapes from their own golden runs instead
-(:mod:`repro.core.parallel`).
+are only meaningful against the parent's module object.  Only draws whose
+faulty run executes in the recording process get a tape; pooled workers
+replay in full (:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations

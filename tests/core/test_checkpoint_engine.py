@@ -1,28 +1,64 @@
-"""Differential matrix: checkpoint restore vs full replay.
+"""Differential matrix: checkpoint restore vs full replay, and its policy.
 
 The snapshot/restore layer's contract is the direct engine's, one level
 up: a faulty run that fast-forwards through a golden checkpoint must be
 *bit-identical* to the full replay — same outcome stream, crash kinds,
 injection records, dynamic-site totals, and faulty dynamic-instruction
-counts.  Every test here runs the same pre-drawn schedule through a plain
-injector and a checkpointing one and compares the complete observable
-stream, across the registry workloads and the hard site categories
-(masked AVX/SSE intrinsics, pointer sites, step-limit "hang" crashes).
+counts.  Every differential test here runs the same pre-drawn schedule
+through a tape-less golden and a taped one and compares the complete
+observable stream, across the registry workloads and the hard site
+categories (masked AVX/SSE intrinsics, pointer sites, step-limit "hang"
+crashes).
+
+The injector decides by itself when a golden records a tape (see
+:data:`repro.core.injector.CHECKPOINTS_PER_RUN` and
+``MIN_TAPE_INSTRUCTIONS``).  Most programs here are shorter than the
+cut-off, so tests force tapes through one seam only: monkeypatching those
+policy constants (the ``policy`` fixture).
 """
 
+import json
 from random import Random
 
 import pytest
 
+import repro.core.injector as injector_mod
 from repro.core import FaultInjector, run_campaigns
 from repro.core.campaign import CampaignConfig
-from repro.errors import InjectionError
+from repro.core.injector import DEFAULT_ENGINE
 from repro.frontend import compile_source
+from repro.store import CampaignStore, encode_result
 from repro.workloads import all_workloads, get_workload, micro_workloads
 
 from .test_direct_engine import FLOAT_KERNEL, INT_KERNEL, float_runner, int_runner
 
+#: Target checkpoint spacing, in dynamic sites, of the forced tapes.
 INTERVAL = 40
+
+
+@pytest.fixture
+def policy(monkeypatch):
+    """Tapes for goldens of any length: the cut-off patched to zero."""
+    monkeypatch.setattr(injector_mod, "MIN_TAPE_INSTRUCTIONS", 0)
+    return monkeypatch
+
+
+def taped_golden(injector, runner, policy, interval=INTERVAL):
+    """A golden whose tape checkpoints about every ``interval`` sites.
+
+    The injector's first golden only sizes the policy; the per-run
+    checkpoint count is then patched so the interval lands near
+    ``interval``, and the second golden records the tape.
+    """
+    sizing = injector.golden(runner, record_tape=True)
+    assert sizing.checkpoints is None
+    policy.setattr(
+        injector_mod, "CHECKPOINTS_PER_RUN",
+        max(1, sizing.dynamic_sites // interval),
+    )
+    golden = injector.golden(runner, record_tape=True)
+    assert golden.checkpoints is not None
+    return golden
 
 
 def result_signature(r):
@@ -55,32 +91,27 @@ def sample_sites(n: int, limit: int) -> list[int]:
 def full_sweep_streams(
     module,
     runner,
+    policy,
     category="all",
     interval=INTERVAL,
     step_limit=500_000,
-    convergence_exit=True,
     bits=None,
     site_limit=None,
 ):
-    """Sweep dynamic sites through plain vs checkpointed injectors.
+    """Sweep dynamic sites through a tape-less vs a taped golden.
 
     Every site when the program is small, a stratified sample (edges plus
     evenly spaced interior, ``site_limit`` of them) otherwise — full
     sweeps over the big benchmarks would be quadratic in program length.
-    Returns the two signature streams plus the checkpointing injector (for
-    stats assertions).  ``bits`` (a ``{k: bit}`` map) defaults to a seeded
+    Returns the two signature streams plus the taped injector (for stats
+    assertions).  ``bits`` (a ``{k: bit}`` map) defaults to a seeded
     per-site draw from the golden run's recorded widths.
     """
     plain = FaultInjector(module, category=category, step_limit=step_limit)
-    ck = FaultInjector(
-        module,
-        category=category,
-        step_limit=step_limit,
-        checkpoint_interval=interval,
-        convergence_exit=convergence_exit,
-    )
+    ck = FaultInjector(module, category=category, step_limit=step_limit)
     g_plain = plain.golden(runner)
-    g_ck = ck.golden(runner)
+    g_ck = taped_golden(ck, runner, policy, interval)
+    assert g_plain.checkpoints is None
     assert g_plain.dynamic_sites == g_ck.dynamic_sites
     assert g_plain.dynamic_instructions == g_ck.dynamic_instructions
     assert bytes(g_plain.site_widths) == bytes(g_ck.site_widths)
@@ -105,44 +136,48 @@ class TestRegistryMatrix:
     """Checkpoint restore over the whole workload registry."""
 
     @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
-    def test_every_registry_workload(self, workload):
+    def test_every_registry_workload(self, workload, policy):
         module = workload.compile("avx")
         runner = workload.build_runner(workload.sample_input(Random(5)))
-        plain, ck, injector = full_sweep_streams(module, runner, site_limit=24)
+        plain, ck, injector = full_sweep_streams(
+            module, runner, policy, site_limit=24
+        )
         assert plain == ck
         assert injector.checkpoint_stats["restores"] > 0
 
     @pytest.mark.parametrize("workload", micro_workloads(), ids=lambda w: w.name)
     @pytest.mark.parametrize("category", ["pure-data", "control", "address"])
-    def test_micro_per_category(self, workload, category):
+    def test_micro_per_category(self, workload, category, policy):
         module = workload.compile("avx")
         runner = workload.build_runner(workload.sample_input(Random(2)))
         plain, ck, _ = full_sweep_streams(
-            module, runner, category=category, site_limit=32
+            module, runner, policy, category=category, site_limit=32
         )
         assert plain == ck
 
 
 class TestMaskedAndPointerSites:
-    def test_avx_sign_masked_float(self):
+    def test_avx_sign_masked_float(self, policy):
         module = compile_source(FLOAT_KERNEL, "avx")
-        plain, ck, _ = full_sweep_streams(module, float_runner(), interval=8)
+        plain, ck, _ = full_sweep_streams(
+            module, float_runner(), policy, interval=8
+        )
         assert plain == ck
 
-    def test_avx_sign_masked_int(self):
+    def test_avx_sign_masked_int(self, policy):
         module = compile_source(INT_KERNEL, "avx")
-        plain, ck, _ = full_sweep_streams(module, int_runner(), interval=8)
+        plain, ck, _ = full_sweep_streams(module, int_runner(), policy, interval=8)
         assert plain == ck
 
-    def test_sse_i1_masked(self):
+    def test_sse_i1_masked(self, policy):
         module = compile_source(INT_KERNEL, "sse")
-        plain, ck, _ = full_sweep_streams(module, int_runner(), interval=8)
+        plain, ck, _ = full_sweep_streams(module, int_runner(), policy, interval=8)
         assert plain == ck
 
-    def test_pointer_sites(self):
+    def test_pointer_sites(self, policy):
         module = compile_source(INT_KERNEL, "avx")
         plain, ck, injector = full_sweep_streams(
-            module, int_runner(n=40), category="address", interval=16
+            module, int_runner(n=40), policy, category="address", interval=16
         )
         assert plain == ck
         # Address flips crash often; restores must have fired anyway.
@@ -153,7 +188,7 @@ class TestStepLimitParity:
     """A hang (step-limit crash) must trip at the same instruction whether
     the prefix was replayed or restored."""
 
-    def test_tight_budget_sweep(self):
+    def test_tight_budget_sweep(self, policy):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         runner = workload.build_runner(workload.sample_input(Random(1)))
@@ -162,6 +197,7 @@ class TestStepLimitParity:
         plain, ck, injector = full_sweep_streams(
             module,
             runner,
+            policy,
             category="control",
             interval=8,  # control sites are sparse; keep several checkpoints
             step_limit=budget,
@@ -174,18 +210,20 @@ class TestStepLimitParity:
 class TestCheckpointBoundaries:
     """Target sites at and next to a checkpoint's dynamic count."""
 
-    def _fixture(self):
+    @pytest.fixture
+    def fixture(self, policy):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         runner = workload.build_runner({"n": 150, "seed": 77})
         plain = FaultInjector(module, category="all", step_limit=500_000)
-        ck = FaultInjector(
-            module, category="all", step_limit=500_000, checkpoint_interval=INTERVAL
+        ck = FaultInjector(module, category="all", step_limit=500_000)
+        return (
+            runner, plain, plain.golden(runner), ck,
+            taped_golden(ck, runner, policy),
         )
-        return runner, plain, plain.golden(runner), ck, ck.golden(runner)
 
-    def test_k_at_checkpoint_count_is_not_skipped(self):
-        runner, plain, g_plain, ck, g_ck = self._fixture()
+    def test_k_at_checkpoint_count_is_not_skipped(self, fixture):
+        runner, plain, g_plain, ck, g_ck = fixture
         tape = g_ck.checkpoints
         assert len(tape) >= 2
         for cp in tape.checkpoints:
@@ -201,8 +239,8 @@ class TestCheckpointBoundaries:
             assert result_signature(a) == result_signature(b)
             assert b.injection is not None
 
-    def test_k_just_after_checkpoint_restores_it(self):
-        runner, plain, g_plain, ck, g_ck = self._fixture()
+    def test_k_just_after_checkpoint_restores_it(self, fixture):
+        runner, plain, g_plain, ck, g_ck = fixture
         tape = g_ck.checkpoints
         cp = tape.checkpoints[0]
         k = cp.dynamic_count + 1
@@ -213,8 +251,8 @@ class TestCheckpointBoundaries:
         assert ck.checkpoint_stats["restores"] == before + 1
         assert tape.best_for(k) is cp
 
-    def test_early_k_replays_in_full(self):
-        runner, plain, g_plain, ck, g_ck = self._fixture()
+    def test_early_k_replays_in_full(self, fixture):
+        runner, plain, g_plain, ck, g_ck = fixture
         before = dict(ck.checkpoint_stats)
         a = plain.faulty(runner, g_plain, 1, bit=3)
         b = ck.faulty(runner, g_ck, 1, bit=3)
@@ -224,78 +262,76 @@ class TestCheckpointBoundaries:
 
 
 class TestConvergenceExit:
-    def test_exits_occur_and_stay_bit_identical(self):
+    def test_exits_occur_and_stay_bit_identical(self, policy):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         runner = workload.build_runner({"n": 200, "seed": 9})
-        plain, ck, injector = full_sweep_streams(module, runner, interval=25)
+        plain, ck, injector = full_sweep_streams(
+            module, runner, policy, interval=25
+        )
         assert plain == ck
         # The registry sweep must actually exercise the early exit — a
         # masked benign flip re-converges with the golden trace quickly.
         assert injector.checkpoint_stats["convergence_exits"] > 0
 
-    def test_disabling_convergence_changes_nothing_observable(self):
-        workload = get_workload("vector_sum")
-        module = workload.compile("avx")
-        runner = workload.build_runner({"n": 120, "seed": 4})
-        _, with_exit, _ = full_sweep_streams(module, runner, interval=25)
-        _, without, inj = full_sweep_streams(
-            module, runner, interval=25, convergence_exit=False
-        )
-        assert with_exit == without
-        assert inj.checkpoint_stats["convergence_exits"] == 0
-
-    def test_converged_result_is_flagged(self):
+    def test_converged_record_equals_full_replay(self, policy):
+        """A convergence exit journals the very bytes of the full replay:
+        a record never shows which execution path produced it."""
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         runner = workload.build_runner({"n": 200, "seed": 9})
-        ck = FaultInjector(
-            module, category="all", step_limit=500_000, checkpoint_interval=25
-        )
-        golden = ck.golden(runner)
+        plain = FaultInjector(module, category="all", step_limit=500_000)
+        g_plain = plain.golden(runner)
+        ck = FaultInjector(module, category="all", step_limit=500_000)
+        golden = taped_golden(ck, runner, policy, interval=25)
         rng = Random(1234)
         for k in range(1, golden.dynamic_sites + 1):
+            bit = rng.randrange(golden.site_widths[k - 1])
             before = ck.checkpoint_stats["convergence_exits"]
-            r = ck.faulty(
-                runner, golden, k, bit=rng.randrange(golden.site_widths[k - 1])
-            )
+            r = ck.faulty(runner, golden, k, bit=bit)
             if ck.checkpoint_stats["convergence_exits"] > before:
-                assert r.notes.get("converged_early") is True
+                full = plain.faulty(runner, g_plain, k, bit=bit)
                 assert r.is_benign
-                assert r.faulty_dynamic_instructions == golden.dynamic_instructions
+                assert json.dumps(encode_result(r), sort_keys=True) == json.dumps(
+                    encode_result(full), sort_keys=True
+                )
                 return
         pytest.fail("sweep produced no convergence exit")
 
 
 class TestCheckpointApi:
-    def test_interval_validated(self):
-        module = compile_source(INT_KERNEL, "avx")
-        with pytest.raises(InjectionError, match="checkpoint_interval"):
-            FaultInjector(module, checkpoint_interval=0)
-
-    def test_worker_payload_round_trips_checkpoint_config(self):
-        module = compile_source(INT_KERNEL, "avx")
-        injector = FaultInjector(
-            module, checkpoint_interval=64, convergence_exit=False
-        )
-        payload = injector.worker_payload()
-        rebuilt = FaultInjector(**payload)
-        assert rebuilt.checkpoint_interval == 64
-        assert rebuilt.convergence_exit is False
-
-    def test_golden_without_interval_has_no_tape(self):
+    def test_golden_without_interval_has_no_tape(self, policy):
+        """No interval can be sized before an injector's first golden, and a
+        golden nobody runs a faulty half against records none either."""
         module = compile_source(INT_KERNEL, "avx")
         injector = FaultInjector(module)
+        assert injector.golden(int_runner(), record_tape=True).checkpoints is None
         assert injector.golden(int_runner()).checkpoints is None
+        assert injector.golden(int_runner(), record_tape=True).checkpoints is not None
 
-    def test_stale_tape_falls_back_to_full_replay(self):
+    def test_interval_validated(self, policy):
+        """A sized interval never drops below one dynamic site, however few
+        sites the previous golden had."""
+        policy.setattr(injector_mod, "CHECKPOINTS_PER_RUN", 10**6)
+        injector = FaultInjector(compile_source(INT_KERNEL, "avx"))
+        injector.golden(int_runner(), record_tape=True)
+        golden = injector.golden(int_runner(), record_tape=True)
+        assert golden.dynamic_sites < 10**6
+        assert golden.checkpoints.interval == 1
+
+    def test_worker_payload_has_no_checkpoint_option(self):
+        module = compile_source(INT_KERNEL, "avx")
+        injector = FaultInjector(module)
+        payload = injector.worker_payload()
+        assert not [k for k in payload if "checkpoint" in k or "convergence" in k]
+        assert FaultInjector(**payload).engine_identity() == injector.engine_identity()
+
+    def test_stale_tape_falls_back_to_full_replay(self, policy):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         runner = workload.build_runner({"n": 150, "seed": 3})
-        ck = FaultInjector(
-            module, category="all", step_limit=500_000, checkpoint_interval=INTERVAL
-        )
-        golden = ck.golden(runner)
+        ck = FaultInjector(module, category="all", step_limit=500_000)
+        golden = taped_golden(ck, runner, policy)
         assert len(golden.checkpoints) > 0
         golden.checkpoints.module_version -= 1  # simulate IR mutation
         plain = FaultInjector(module, category="all", step_limit=500_000)
@@ -309,6 +345,61 @@ class TestCheckpointApi:
         )
 
 
+class TestPolicy:
+    """The injector's own checkpoint decision: interval, cut-off, retention."""
+
+    @staticmethod
+    def _injector():
+        module = get_workload("vector_sum").compile("avx")
+        return FaultInjector(module, category="all", step_limit=500_000)
+
+    @staticmethod
+    def _runner(n, seed=1):
+        return get_workload("vector_sum").build_runner({"n": n, "seed": seed})
+
+    def test_interval_sized_from_previous_golden(self, policy):
+        injector = self._injector()
+        first = injector.golden(self._runner(120), record_tape=True)
+        second = injector.golden(self._runner(180), record_tape=True)
+        assert second.checkpoints.interval == (
+            first.dynamic_sites // injector_mod.CHECKPOINTS_PER_RUN
+        )
+
+    def test_short_goldens_keep_the_interval_free_fast_path(self):
+        injector = self._injector()
+        runner = self._runner(67)
+        sizing = injector.golden(runner, record_tape=True)
+        assert sizing.dynamic_instructions < injector_mod.MIN_TAPE_INSTRUCTIONS
+        assert injector.golden(runner, record_tape=True).checkpoints is None
+        assert injector._count_runtime.tape_interval is None
+        assert injector.checkpoint_stats["tapes_recorded"] == 0
+
+    def test_long_goldens_record_tapes_unpatched(self):
+        injector = self._injector()
+        runner = self._runner(1024)
+        sizing = injector.golden(runner, record_tape=True)
+        assert sizing.dynamic_instructions >= injector_mod.MIN_TAPE_INSTRUCTIONS
+        tape = injector.golden(runner, record_tape=True).checkpoints
+        assert 0 < len(tape) <= injector_mod.CHECKPOINTS_PER_RUN
+
+    def test_tapes_stay_out_of_the_golden_cache(self, policy):
+        injector = self._injector()
+        injector.cached_golden(self._runner(100), record_tape=True)
+        runner = self._runner(150)
+        golden = injector.cached_golden(runner, record_tape=True)
+        assert golden.checkpoints is not None
+        cached = injector.cached_golden(runner, record_tape=True)
+        assert cached.checkpoints is None
+        assert cached.dynamic_sites == golden.dynamic_sites
+
+    def test_reset_perf_counters_clears_sizing(self, policy):
+        injector = self._injector()
+        runner = self._runner(100)
+        injector.golden(runner, record_tape=True)
+        injector.reset_perf_counters()
+        assert injector.golden(runner, record_tape=True).checkpoints is None
+
+
 class TestCampaignIntegration:
     CONFIG = CampaignConfig(
         experiments_per_campaign=30,
@@ -318,18 +409,20 @@ class TestCampaignIntegration:
         margin_target=0.0,
     )
 
-    def _summary(self, checkpoint_interval, jobs=1):
+    def _summary(self, jobs=1, recorder_store=None):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
-        injector = FaultInjector(
-            module,
-            category="all",
-            step_limit=500_000,
-            checkpoint_interval=checkpoint_interval,
-        )
+        injector = FaultInjector(module, category="all", step_limit=500_000)
+        recorder = None
+        if recorder_store is not None:
+            recorder = recorder_store.recorder(
+                experiment="checkpoint-test", cell={}, scale="test",
+                injector=injector, seed=11, config={}, planned=60,
+            )
         if jobs == 1:
             return run_campaigns(
-                injector, workload.runner_factory(), self.CONFIG, seed=11
+                injector, workload.runner_factory(), self.CONFIG, seed=11,
+                recorder=recorder,
             )
         from repro.core import ExperimentPool
         from repro.experiments.common import campaign_worker_context
@@ -348,18 +441,25 @@ class TestCampaignIntegration:
     def _totals(s):
         return (s.totals.sdc, s.totals.benign, s.totals.crash)
 
-    def test_serial_campaign_is_checkpoint_invariant(self):
-        assert self._totals(self._summary(None)) == self._totals(
-            self._summary(INTERVAL)
-        )
+    def test_serial_campaign_is_checkpoint_invariant(self, monkeypatch):
+        monkeypatch.setattr(injector_mod, "MIN_TAPE_INSTRUCTIONS", 10**12)
+        untaped = self._summary()
+        monkeypatch.setattr(injector_mod, "MIN_TAPE_INSTRUCTIONS", 0)
+        taped = self._summary()
+        assert untaped.checkpoints["tapes_recorded"] == 0
+        assert taped.checkpoints["restores"] > 0
+        assert self._totals(untaped) == self._totals(taped)
 
-    def test_parallel_campaign_matches_serial(self):
-        serial = self._summary(INTERVAL)
-        parallel = self._summary(INTERVAL, jobs=2)
+    def test_parallel_campaign_matches_serial(self, policy):
+        serial = self._summary()
+        parallel = self._summary(jobs=2)
         assert self._totals(serial) == self._totals(parallel)
+        # Pooled faulty runs execute in the workers: the parent tapes nothing.
+        assert serial.checkpoints["tapes_recorded"] > 0
+        assert parallel.checkpoints["tapes_recorded"] == 0
 
-    def test_summary_surfaces_cache_and_checkpoint_stats(self):
-        summary = self._summary(INTERVAL)
+    def test_summary_surfaces_cache_and_checkpoint_stats(self, policy):
+        summary = self._summary()
         assert summary.golden_cache is not None
         assert set(summary.golden_cache) == {
             "size", "maxsize", "hits", "misses", "evictions",
@@ -367,3 +467,28 @@ class TestCampaignIntegration:
         assert summary.checkpoints is not None
         assert summary.checkpoints["tapes_recorded"] > 0
         assert summary.checkpoints["restores"] > 0
+
+    def test_stored_positions_record_no_tapes(self, policy, tmp_path):
+        with CampaignStore(tmp_path / "store") as store:
+            first = self._summary(recorder_store=store)
+        with CampaignStore(tmp_path / "store") as store:
+            again = self._summary(recorder_store=store)
+        assert first.checkpoints["tapes_recorded"] > 0
+        assert again.store["hits"] == again.totals.total
+        assert again.checkpoints["tapes_recorded"] == 0
+        assert self._totals(first) == self._totals(again)
+
+    def test_quick_fig11_long_cell_restores_and_exits(self):
+        """The unpatched policy on a storeless quick Fig-11 cell: a long
+        golden records tapes, restores fire and convergence exits occur."""
+        from repro.experiments.common import SCALES, cell_injector, cell_seed
+
+        workload = get_workload("jacobi")
+        injector = cell_injector(workload, "avx", "pure-data")
+        assert injector.engine == DEFAULT_ENGINE
+        summary = run_campaigns(
+            injector, workload.runner_factory(), SCALES["quick"],
+            seed=cell_seed("fig11", "jacobi", "avx", "pure-data"),
+        )
+        assert summary.checkpoints["restores"] > 0
+        assert summary.checkpoints["convergence_exits"] > 0

@@ -1,8 +1,8 @@
 """Frozen outcome totals for the seeded vector_sum mini-campaign.
 
 The mini-campaign is vector_sum on AVX, seed 7, four campaigns of 50
-experiments, with golden checkpoints every 64 dynamic sites.  It runs in
-two input regimes:
+experiments, with golden checkpoint tapes forced on.  It runs in two input
+regimes:
 
 * **unique** — every experiment draws a fresh input from the workload's
   own input space, so the golden cache never hits;
@@ -11,14 +11,16 @@ two input regimes:
 
 Its (sdc, benign, crash) totals were recorded before any of the engine
 optimisations and are frozen here.  Every engine must reproduce them
-exactly, with checkpoint restore on; a faster engine that moves them is a
-bug.  ``benchmarks/test_speed_ratios.py`` times the same campaign.
+exactly, with checkpoint restore and convergence exits on; a faster engine
+that moves them is a bug.  ``benchmarks/test_speed_ratios.py`` times the
+same campaign.
 """
 
 from random import Random
 
 import pytest
 
+import repro.core.injector as injector_mod
 from repro.core import FaultInjector, run_campaigns
 from repro.core.campaign import CampaignConfig
 from repro.core.injector import ENGINES
@@ -37,10 +39,6 @@ MINI_CONFIG = CampaignConfig(
     margin_target=0.0,
 )
 
-#: Golden-checkpoint interval (dynamic sites), so the totals also pin
-#: checkpoint restore to full replay.
-CHECKPOINT_INTERVAL = 64
-
 #: The pooled regime's fixed input pool: (n, seed) pairs.
 POOLED_INPUTS = (
     (67, 101),
@@ -57,8 +55,7 @@ POOLED_INPUTS = (
 def mini_injector(engine: str) -> FaultInjector:
     module = get_workload("vector_sum").compile("avx")
     return FaultInjector(
-        module, category="all", step_limit=500_000, engine=engine,
-        checkpoint_interval=CHECKPOINT_INTERVAL,
+        module, category="all", step_limit=500_000, engine=engine
     )
 
 
@@ -77,6 +74,14 @@ def mini_factory(regime: str):
 def mini_campaign(injector: FaultInjector, regime: str):
     """Run the mini-campaign for one regime; returns the summary."""
     return run_campaigns(injector, mini_factory(regime), MINI_CONFIG, seed=SEED)
+
+
+@pytest.fixture(autouse=True)
+def tapes_on(monkeypatch):
+    """The mini-campaign's goldens are shorter than the checkpoint policy's
+    cut-off; drop it so the totals also pin restores and convergence exits
+    to full replay."""
+    monkeypatch.setattr(injector_mod, "MIN_TAPE_INSTRUCTIONS", 0)
 
 
 @pytest.mark.parametrize("regime", sorted(EXPECTED_TOTALS))

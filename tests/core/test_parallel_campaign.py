@@ -177,19 +177,16 @@ class TestParallelDeterminism:
 
 
 class TestWorkerEngine:
-    """The per-worker execution state: build-once, decode-once, adaptive
-    checkpoint rebuilds.  Exercised in-process — the pool initializer and
-    task runner below are exactly what forked workers execute."""
+    """The per-worker execution state: build-once, decode-once, full
+    replay.  Exercised in-process — the pool initializer and task runner
+    below are exactly what forked workers execute."""
 
-    def _context(self, checkpoint_interval=None):
+    def _context(self):
         from repro.experiments.common import campaign_worker_context
 
         workload = get_workload("vector_sum")
         injector = FaultInjector(
-            workload.compile("avx"),
-            category="all",
-            step_limit=500_000,
-            checkpoint_interval=checkpoint_interval,
+            workload.compile("avx"), category="all", step_limit=500_000
         )
         return injector, workload, campaign_worker_context(injector, workload)
 
@@ -220,12 +217,12 @@ class TestWorkerEngine:
         from repro.core import parallel
 
         _, _, context_a = self._context()
-        _, _, context_b = self._context(checkpoint_interval=30)
+        _, _, context_b = self._context()
         parallel._init_worker({"a": context_a, "b": context_b})
         assert set(parallel._engines) == {"a", "b"}
         for engine in parallel._engines.values():
             assert engine.injector is not None  # built eagerly, not per task
-        assert parallel._engines["b"].injector.checkpoint_interval == 30
+        assert parallel._engines["a"] is not parallel._engines["b"]
 
     def test_spec_cells_build_on_first_task_and_stay_warm(self):
         from repro.core import parallel
@@ -255,36 +252,26 @@ class TestWorkerEngine:
             s.site_id for s in parent.sites
         ]
 
-    def test_worker_rebuilds_golden_for_repeated_inputs(self):
-        """Checkpointing workers synthesize the golden for a first-seen
-        input (no extra golden run) but rebuild it — tape included — the
-        second time the same input key arrives."""
-        from repro.core.parallel import _WorkerEngine
+    def test_worker_results_match_parent_serial(self, monkeypatch):
+        """Workers replay in full; the parent restores from a tape (forced
+        on this short program through the policy cut-off) — same results."""
+        import repro.core.injector as injector_mod
 
-        injector, workload, context = self._context(checkpoint_interval=30)
-        tasks = self._schedule(injector, workload, 6)
-        engine = _WorkerEngine.build(context)
-        engine.run_task(tasks[0])
-        first_round = dict(engine.injector.checkpoint_stats)
-        assert first_round["tapes_recorded"] == 0  # synthesized golden, no tape
-        for task in tasks[1:]:
-            engine.run_task(task)
-        stats = engine.injector.checkpoint_stats
-        assert stats["tapes_recorded"] == 1  # rebuilt once, then cached
-        assert stats["restores"] + stats["full_replays"] >= len(tasks) - 1
-
-    def test_worker_results_match_parent_serial(self):
-        injector, workload, context = self._context(checkpoint_interval=30)
+        monkeypatch.setattr(injector_mod, "MIN_TAPE_INSTRUCTIONS", 0)
+        injector, workload, context = self._context()
         tasks = self._schedule(injector, workload, 10)
         from repro.core.parallel import _WorkerEngine
 
         engine = _WorkerEngine.build(context)
         worker_results = [engine.run_task(t) for t in tasks]
+        assert engine.injector.checkpoint_stats["tapes_recorded"] == 0
         runner = workload.build_runner({"n": 90, "seed": 55})
-        golden = injector.cached_golden(runner)
+        golden = injector.golden(runner, record_tape=True)
+        assert golden.checkpoints is not None
         serial_results = [
             injector.faulty(runner, golden, t.k, bit=t.bit) for t in tasks
         ]
+        assert injector.checkpoint_stats["restores"] > 0
         sig = lambda r: repr(
             (r.outcome, r.crash_kind, r.injection, r.dynamic_sites,
              r.faulty_dynamic_instructions)
