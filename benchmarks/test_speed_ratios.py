@@ -20,15 +20,16 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import repro.core.injector as injector_mod
 from repro.core import FaultInjector, run_campaigns
 from repro.core.cluster import run_cell_sharded
-from repro.core.injector import ENGINES
 from repro.workloads import get_workload
 from tests.core.test_frozen_totals import (
     EXPECTED_TOTALS,
@@ -123,56 +124,77 @@ def test_direct_mini_campaign_beats_instrumented(regime):
     assert faulty >= 2.0, f"{regime}: direct faulty runs only {faulty:.2f}x"
 
 
-def test_compiled_faulty_sweep_beats_direct():
-    """On full replays (checkpoints off), compiled faulty runs are
-    >= 1.5x faster than direct ones, experiment for experiment identical."""
+@contextmanager
+def _decoded_tier():
+    """Run the direct engine's plan on its decoded tier: the planned
+    closures its chains fall back to, with no chain compiled."""
+    real = injector_mod.Interpreter
+
+    def decoded(*args, **kwargs):
+        return real(*args, **{**kwargs, "compiled": False})
+
+    injector_mod.Interpreter = decoded
+    try:
+        yield
+    finally:
+        injector_mod.Interpreter = real
+
+
+def test_chain_faulty_sweep_beats_decoded_tier():
+    """On full replays (checkpoints off), the direct engine's compiled
+    chains run faulty runs >= 1.5x faster than the same plan on its
+    decoded tier, experiment for experiment identical."""
     module = _module()
     runner = _runner(768, 4321)
-    runs = {}
-    for engine in ("direct", "compiled"):
-        injector = FaultInjector(
-            module, category="all", step_limit=2_000_000, engine=engine
-        )
-        injector.warm()
-        runs[engine] = (injector, injector.golden(runner))
-    schedule = _schedule(runs["direct"][1], 120)
-    direct_s, direct_r = _sweep(runs["direct"][0], runner, runs["direct"][1], schedule)
-    compiled_s, compiled_r = _sweep(
-        runs["compiled"][0], runner, runs["compiled"][1], schedule
-    )
-    assert list(map(_signature, compiled_r)) == list(map(_signature, direct_r))
-    ratio = direct_s / compiled_s
-    print(f"compiled faulty sweep: {ratio:.2f}x direct")
-    assert ratio >= 1.5, f"compiled faulty runs only {ratio:.2f}x direct"
+    injector = FaultInjector(module, category="all", step_limit=2_000_000)
+    golden = injector.golden(runner)
+    schedule = _schedule(golden, 120)
+    # Each tier's first pass is untimed: it compiles every chain (or
+    # decodes every block) the schedule reaches.
+    _sweep(injector, runner, golden, schedule)
+    chains_s, chains_r = _sweep(injector, runner, golden, schedule)
+    with _decoded_tier():
+        _sweep(injector, runner, golden, schedule)
+        decoded_s, decoded_r = _sweep(injector, runner, golden, schedule)
+    assert list(map(_signature, chains_r)) == list(map(_signature, decoded_r))
+    ratio = decoded_s / chains_s
+    print(f"chain faulty sweep: {ratio:.2f}x the decoded tier")
+    assert ratio >= 1.5, f"chain faulty runs only {ratio:.2f}x the decoded tier"
 
 
 def test_dispatch_rate_ordering():
     """Raw dispatch (golden runs, warm caches, best of five series):
-    compiled > direct > instrumented, with compiled >= 3x direct, and every
-    engine counts the same dynamic instructions."""
+    direct chains > direct decoded tier > instrumented, with the chains
+    >= 3x the decoded tier, and every tier counts the same dynamic
+    instructions."""
     module = _module()
     runner = _runner(512, 42)
     rates, counts = {}, set()
-    for engine in ENGINES:
+    tiers = (
+        ("direct", "direct", nullcontext),
+        ("decoded", "direct", _decoded_tier),
+        ("instrumented", "instrumented", nullcontext),
+    )
+    for tier, engine, context in tiers:
         injector = FaultInjector(
             module, category="all", step_limit=2_000_000, engine=engine
         )
-        injector.warm()
-        golden = injector.golden(runner)
-        counts.add(golden.dynamic_instructions)
-        gc.collect()
-        best = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            for _ in range(25):
-                injector.golden(runner)
-            best = min(best, time.perf_counter() - t0)
-        rates[engine] = golden.dynamic_instructions * 25 / best
-    print({e: f"{r / 1e6:.2f}M insn/s" for e, r in rates.items()})
-    assert len(counts) == 1, f"engines disagree on dynamic instructions: {counts}"
-    assert rates["compiled"] > rates["direct"] > rates["instrumented"], rates
-    ratio = rates["compiled"] / rates["direct"]
-    assert ratio >= 3.0, f"compiled dispatch only {ratio:.2f}x direct"
+        with context():
+            golden = injector.golden(runner)
+            counts.add(golden.dynamic_instructions)
+            gc.collect()
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                for _ in range(25):
+                    injector.golden(runner)
+                best = min(best, time.perf_counter() - t0)
+        rates[tier] = golden.dynamic_instructions * 25 / best
+    print({t: f"{r / 1e6:.2f}M insn/s" for t, r in rates.items()})
+    assert len(counts) == 1, f"tiers disagree on dynamic instructions: {counts}"
+    assert rates["direct"] > rates["decoded"] > rates["instrumented"], rates
+    ratio = rates["direct"] / rates["decoded"]
+    assert ratio >= 3.0, f"chain dispatch only {ratio:.2f}x the decoded tier"
 
 
 def test_checkpoint_restore_beats_full_replay(monkeypatch):
@@ -180,8 +202,6 @@ def test_checkpoint_restore_beats_full_replay(monkeypatch):
     >= 1.5x faster than full replay and bit-identical to it.  The golden
     is long enough for the injector's own policy to tape it; only the
     checkpoint count is patched, to 64 per run."""
-    import repro.core.injector as injector_mod
-
     monkeypatch.setattr(injector_mod, "CHECKPOINTS_PER_RUN", 64)
     module = _module()
     runner = _runner(1024, 1234)

@@ -22,11 +22,10 @@ hoped for:
   visited, so step budgets, timeout crashes, and dynamic-instruction totals
   agree with the instrumented engine.
 
-The same :class:`~repro.vm.decode.InjectionPlan` also feeds the block
-compiler (:mod:`repro.vm.compile`, ``engine="compiled"``): compiled chains
-inline the group counting and charge the same taxes, and fall back to the
-decoded appliers built here for any block a target index could land in —
-one plan, three engines, one stream of observables.
+The block compiler (:mod:`repro.vm.compile`) runs this plan: compiled
+chains inline the group counting and charge the same taxes, and fall back
+to the decoded appliers built here for any block a target index could
+land in — one plan, two tiers, one stream of observables.
 """
 
 from __future__ import annotations

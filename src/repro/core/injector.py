@@ -17,20 +17,18 @@ Two execution engines implement the protocol, selected by ``engine=``:
 
 * ``"direct"`` (default) — fault sites are folded into the decoded program
   of the *pristine* module (:mod:`repro.core.direct`): no clone, no IR
-  rewriting, no interpreted injection chains.  Bit-identical to the
-  instrumented engine — same site ids, dynamic-site order, RNG stream,
-  records, crash behaviour, and dynamic-instruction totals — and much
-  faster, because each dynamic site costs one closure call instead of
-  several interpreted instructions.
+  rewriting, no interpreted injection chains.  The block compiler
+  (:mod:`repro.vm.compile`) runs that plan as superblock chains, each
+  compiled on its first entry; golden and faulty runs share one chain per
+  block, and a faulty run falls back to the decoded closures only for the
+  chain that may hold the target site.  Bit-identical to the instrumented
+  engine — same site ids, dynamic-site order, RNG stream, records, crash
+  behaviour, and dynamic-instruction totals — and much faster.
 * ``"instrumented"`` — VULFI's actual mechanism: instrument a structural
   *clone* of the module (meta-preserving, see :mod:`repro.ir.clone`) with
-  ``injectFault<Ty>Ty`` calls.  Kept as the reference semantics (the
-  differential oracle for the direct engine) and for IR-level studies.
-* ``"compiled"`` — the direct engine's plan executed by the block-compiled
-  VM (:mod:`repro.vm.compile`): superblock chains are ``exec``-compiled to
-  specialized closures once per module version, and faulty runs fall back
-  to the decoded interpreter only for the chain containing the target
-  site.  Bit-identical to both other engines; fastest for campaigns.
+  ``injectFault<Ty>Ty`` calls and interpret it.  Kept as the reference
+  semantics (the differential oracle for the direct engine) and for
+  IR-level studies.
 
 Either way the caller's IR is never mutated and one engine can serve
 thousands of experiments — all mutable injection state lives in the
@@ -64,7 +62,7 @@ from .runtime import FaultRuntime, MODE_COUNT, MODE_INJECT
 from .sites import StaticSite, enumerate_module_sites, filter_sites
 
 #: Execution engines implementing the two-execution protocol.
-ENGINES = ("direct", "instrumented", "compiled")
+ENGINES = ("direct", "instrumented")
 
 #: The engine every experiment, CLI verb and service submission uses unless
 #: told otherwise.  The engine is part of every campaign's content key, so
@@ -202,10 +200,10 @@ class FaultInjector:
         #: rebuild this injector (site enumeration and instrumentation are
         #: deterministic, so the rebuilt engine enumerates identical ids).
         self.source_module = module
-        if engine in ("direct", "compiled"):
-            # Neither plan-based engine mutates IR: enumerate sites on the
+        if engine == "direct":
+            # The plan engine never mutates IR: enumerate sites on the
             # pristine module itself and fold them into the decoded program
-            # (which the compiled engine then turns into chain closures).
+            # (from which the block compiler builds its chains).
             self._cloned = True
             self.module = module
             self.sites = self._enumerate(self.module)
@@ -227,26 +225,24 @@ class FaultInjector:
         self._count_prepared: tuple | None = None
 
     def warm(self) -> None:
-        """Build this engine's execution caches eagerly.
+        """Build this engine's per-function tables eagerly.
 
-        Decodes (and, for ``engine="compiled"``, ``exec``-compiles) every
-        defined function of the module now instead of on the first run.
-        Parallel workers call this once at fork so per-experiment timings
-        never include one-time compilation, and so COMPILE_EVENTS-based
-        tests can prove compilation happens once per process.
+        Decodes every defined function's phi tables and terminators and,
+        for the direct engine, builds its chain entry table now instead of
+        on the first run.  Chains and decoded closures still build on
+        their first execution: a block no run reaches costs nothing.
+        Parallel workers call this once at fork.
         """
+        from ..vm.compile import compiled_program
         from ..vm.decode import decoded_program
 
-        program = decoded_program(self.module, self._plan)
-        compiled = None
-        if self.engine == "compiled":
-            from ..vm.compile import compiled_program
-
-            compiled = compiled_program(self.module, self._plan)
+        program = (
+            compiled_program(self.module, self._plan)
+            if self._plan is not None
+            else decoded_program(self.module)
+        )
         for fn in self.module.defined_functions():
             program.function(fn)
-            if compiled is not None:
-                compiled.function(fn)
 
     def reset_perf_counters(self) -> None:
         """Zero the observability counters (golden cache, checkpoints).
@@ -324,7 +320,7 @@ class FaultInjector:
             self.module,
             step_limit=self.step_limit,
             plan=self._plan,
-            compiled=(self.engine == "compiled"),
+            compiled=self._plan is not None,
         )
         if self._plan is not None:
             if prepared is not None:
@@ -332,10 +328,9 @@ class FaultInjector:
             else:
                 vm.fault_entries = fault_runtime.entries()
                 vm.fault_spans = fault_runtime.spans()
-            # Compiled chains read the runtime's dynamic-site counter
-            # directly and pick their injection-aware variant by mode.
+            # Compiled chains read the runtime's dynamic-site counter,
+            # width tape and targets directly.
             vm.fault_runtime = fault_runtime
-            vm.compiled_inject = fault_runtime.mode == MODE_INJECT
         else:
             vm.bind_all(prepared[0] if prepared is not None else fault_runtime.bindings())
         fired: Callable[[], bool] = lambda: False

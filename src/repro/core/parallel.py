@@ -139,9 +139,8 @@ class _WorkerEngine:
                 source.build(), functools.partial(build_runner, source.workload)
             )
         injector = FaultInjector(**source.injector)
-        # Decode — and for engine="compiled", exec-compile — every defined
-        # function now, so no faulty run ever pays one-time code generation
-        # inside its timed window.
+        # Build every defined function's decode and entry tables now;
+        # chains still compile on first entry.
         injector.warm()
         maker = source.bindings_factory_maker
         return cls(injector, source.make_runner, maker() if maker else None)

@@ -114,8 +114,8 @@ class FaultRuntime:
             else (frozenset({target_index}) if target_index is not None else frozenset())
         )
         self.target_index = target_index
-        #: Largest target index (0 when counting) — the compiled engine's
-        #: chain prologues compare the dynamic counter against this to skip
+        #: Largest target index (0 when counting) — compiled chain
+        #: prologues compare the dynamic counter against this to skip
         #: span checks once every target is behind them.
         self.max_target = max(self.targets) if self.targets else 0
         self.rng = rng
@@ -159,7 +159,7 @@ class FaultRuntime:
     def span_hits(self, lo: int, hi: int) -> bool:
         """True when any target index lies in the half-open span ``(lo, hi]``.
 
-        The compiled engine calls this once per superblock chain with the
+        Compiled chains call this once per superblock chain with the
         chain's *maximum* possible site consumption: a hit sends the head
         block to the decoded fallback, where the per-group span advancers
         reproduce the injection exactly.

@@ -41,12 +41,12 @@ engines.  ``report`` rebuilds any stored experiment's tables from the
 journal alone.  ``--abort-after N`` deliberately crashes a recorded run
 after N new experiments (testing hook for the resume machinery).
 
-``--engine direct|instrumented|compiled`` selects the injection engine
-(fig11/fig12/vecdiff/ablations).  All engines produce bit-identical
-experiment streams; ``direct`` (the default) folds fault sites into the
-decoded interpreter, ``instrumented`` splices VULFI's ``injectFault<Ty>Ty``
-calls into a cloned module, and ``compiled`` exec-compiles superblock
-chains into specialized closures (fastest on raw dispatch).
+``--engine direct|instrumented`` selects the injection engine
+(fig11/fig12/vecdiff/ablations).  Both produce bit-identical experiment
+streams: ``direct`` (the default) folds fault sites into the decoded
+program and runs it as lazily compiled superblock chains, ``instrumented``
+splices VULFI's ``injectFault<Ty>Ty`` calls into a cloned module and
+interprets it (the reference semantics).
 
 Throughput is measured outside this CLI: ``perfbench/run.py`` is the
 end-to-end and per-layer benchmark, and ``benchmarks/test_speed_ratios.py``
@@ -105,9 +105,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=ENGINES,
         default=None,
         help=f"injection engine for campaign experiments (default: "
-        f"{DEFAULT_ENGINE}; all engines are bit-identical — 'instrumented' "
-        "is VULFI's IR-splicing reference semantics, 'compiled' the "
-        "threaded-code superblock engine)",
+        f"{DEFAULT_ENGINE}, compiled superblock chains over the decoded "
+        "fault-site plan; 'instrumented' is VULFI's IR-splicing reference "
+        "semantics, bit-identical and slower)",
     )
     parser.add_argument(
         "--store",
@@ -373,6 +373,8 @@ def _resume(store, args, shard=None) -> int:
     A shard store resumes as the stripe it was pinned to (``shard.json``);
     ``--shards`` is never needed — or allowed — to resume one.
     """
+    from ..errors import InjectionError
+
     plans = store.resume_plans()
     if not plans:
         print(f"{store.root}: nothing to resume (empty store)")
@@ -383,15 +385,21 @@ def _resume(store, args, shard=None) -> int:
             print(f"skipping unknown stored experiment {name!r}", file=sys.stderr)
             continue
         t0 = time.time()
-        report = _run_one(
-            name,
-            args,
-            store=store,
-            benchmarks=plan["benchmarks"],
-            scale=plan["scale"],
-            engine=plan["engine"],
-            shard=shard if name in SHARDABLE else None,
-        )
+        try:
+            report = _run_one(
+                name,
+                args,
+                store=store,
+                benchmarks=plan["benchmarks"],
+                scale=plan["scale"],
+                engine=plan["engine"],
+                shard=shard if name in SHARDABLE else None,
+            )
+        except InjectionError as exc:
+            # E.g. a store recorded with an engine this version no longer
+            # has: the engine's own typed refusal, without a traceback.
+            print(f"resume: {exc}", file=sys.stderr)
+            return 3
         _emit(name, report, args)
         stripe = f" (stripe {shard.spec})" if shard is not None else ""
         print(

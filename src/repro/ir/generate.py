@@ -6,7 +6,7 @@ drift between the test suite and the workload registry):
 * **Fuzz modules** (:func:`build_random_module`,
   :func:`build_remainder_module`) — adversarial loop-shaped IR the frontend
   never emits, used by ``tests/core/test_fuzz_engines.py`` to differential-
-  test the three engines.
+  test the injection engines.
 * **Kernel recipes** (:func:`make_recipe` + the ``build_*_kernel``
   emitters) — the generator-backed workload family of
   :mod:`repro.workloads.generated`.  A recipe is a plain, deterministic

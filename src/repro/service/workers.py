@@ -5,9 +5,10 @@ The daemon runs each scheduled campaign on a runner thread; the forked
 pieces here keep that path warm and observable:
 
 * :class:`EngineCache` pools parent-side :class:`FaultInjector` instances
-  by :class:`EngineSpec`.  An injector carries the decoded/compiled module
-  and its :class:`GoldenCache`, so returning one to the pool hands the
-  next campaign — any tenant — a warm engine and a primed golden cache.
+  by :class:`EngineSpec`.  An injector carries the decoded module and its
+  compiled chains, so returning one to the pool hands the next campaign —
+  any tenant — a warm engine.  Its golden cache is dropped on release:
+  a campaign's seed picks its inputs, so no later campaign hits it.
   Specs are by-name content recipes, so the sharing is sound: two tenants
   with the same spec are running the same module, bit for bit.
 * :class:`StreamingRecorder` wraps the store's
@@ -43,7 +44,7 @@ class EngineCache:
     warms) a fresh one; ``release`` returns it for the next campaign.
     Injectors are not thread-safe, so concurrent campaigns on the same
     spec each get their own instance — but across *sequential* campaigns
-    the instance (module, compiled engine, golden cache) is reused no
+    the instance (module, decoded program, compiled chains) is reused no
     matter which tenant submitted them.
     """
 
@@ -63,6 +64,10 @@ class EngineCache:
         return spec.build()
 
     def release(self, spec: EngineSpec, injector: FaultInjector) -> None:
+        # Each campaign draws its own inputs from its seed, so a pooled
+        # engine's goldens are never hit again; kept, they would only grow
+        # the daemon by a few entries per campaign.
+        injector.golden_cache.clear()
         with self._lock:
             self._free.setdefault(spec, []).append(injector)
 

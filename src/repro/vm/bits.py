@@ -168,7 +168,7 @@ def bit_width(ir_type) -> int:
 
 # -- packed ndarray lane representation ----------------------------------------
 #
-# The compiled engine's batched tier (vm/compile.py) holds vector registers
+# The block compiler's batched tier (vm/compile.py) holds vector registers
 # as packed NumPy ndarrays.  The *canonical* register representation stays
 # the Python list of canonical scalars defined above; the helpers below are
 # the only sanctioned bridge between the two, and they are bit-exact by

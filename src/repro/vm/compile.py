@@ -1,4 +1,4 @@
-"""Block-compiled execution engine: threaded-code superblocks.
+"""Block-compiled execution: threaded-code superblocks.
 
 The decoded interpreter (:mod:`repro.vm.decode`) already hoists operand
 resolution and handler dispatch out of the dynamic loop, but every dynamic
@@ -6,7 +6,8 @@ instruction still pays a closure call, per-instruction step accounting, and
 a dictionary store.  This module compiles each basic block — and each
 *superblock*, the chain of blocks reachable through unconditional branches —
 into one specialized Python function, generated as source and
-``exec``-compiled once per module version:
+``exec``-compiled the first time execution enters the block (a block that
+never runs never compiles; see :class:`CompiledEntry`):
 
 * constant operands are folded into the generated source;
 * register reads become local variables after the first load (defs are
@@ -25,31 +26,34 @@ into one specialized Python function, generated as source and
   (:mod:`repro.vm.ops` ``*_bulk`` evaluators,
   :meth:`~repro.vm.memory.Memory.packed_reader`/``packed_writer``).
   Trapping integer ops and types with no bulk kernel keep the unrolled
-  per-lane code.  The
+  per-lane code, and so do f32 values that may hold a lane the host
+  passed unrounded (:func:`_wide_f32_values`): packing would round it.  The
   canonical list representation remains the interface everywhere else: any
   read in a lane-wise context unpacks via ``tolist`` (an exact widening —
   see vm/bits.py), decoded fallback canonicalizes the whole register file
   first (:func:`repro.vm.decode.unpack_regs`), and convergence comparison
   understands both representations (:mod:`repro.vm.snapshot`).  Masked
   fault-site groups count active lanes with one vectorized reduction
-  (``PlannedSite.active_bulk_fn``); dynamic-site increments and count-mode
+  (``PlannedSite.active_bulk_fn``); dynamic-site increments and count-run
   width-tape appends coalesce into one update per commit, which keeps the
   tape bit-exact at every trap point (every trap is preceded by a commit);
 * chains whose final conditional branch loops back to their own head are
   compiled as an in-chain ``while`` loop: the back edge re-evaluates the
   head phis along the statically-known latch edge and only returns to the
   driver when a block hook is installed, the step budget nears exhaustion,
-  or (inject variant) the next iteration's site span could contain the
-  target — at which point the driver re-enters through the ordinary edge,
-  reproducing today's per-iteration behaviour exactly.
+  or the next iteration's site span could contain a target — at which
+  point the driver re-enters through the ordinary edge, reproducing the
+  per-iteration behaviour exactly.
 
-Injection stays bit-identical to both existing engines.  Every chain that
-bears fault sites is emitted in two variants:
+Injection stays bit-identical to the instrumented engine.  A chain that
+bears fault sites is emitted once and serves both halves of an experiment:
 
-* the **count** variant advances the dynamic-site counter (and the recorded
-  site widths) with straight-line arithmetic — no entry-point calls at all;
-* the **inject** variant prechecks the whole chain's maximum site span
-  against the run's target indices and *falls back to the decoded
+* it advances the dynamic-site counter with straight-line arithmetic, and
+  appends the site widths only when the run records them (a count run's
+  ``site_widths`` is a bytearray, an inject run's is ``None``);
+* it prechecks the whole chain's maximum site span against the run's
+  target indices (``_dc < rt.max_target and ...``, always false in a count
+  run, whose ``max_target`` is 0) and *falls back to the decoded
   interpreter* for the one block whose span contains the target — the
   decoded planned appliers then reproduce the spliced-chain injection
   (value, RNG draw, record, trap behaviour) bit for bit.
@@ -57,8 +61,8 @@ bears fault sites is emitted in two variants:
 The same fallback handles the near-step-limit case (the decoded loop raises
 at the exact instruction the budget crosses) and blocks that call defined
 functions.  Checkpoint tapes and the convergence hook attach at chain
-heads: golden (count) and faulty (inject) runs compile to the *same* chain
-structure, so their depth-1 hook points coincide.
+heads: golden and faulty runs execute the *same* chains, so their depth-1
+hook points coincide.
 
 Compiled programs are cached like decoded ones: on ``plan._compiled`` when
 an :class:`~repro.vm.decode.InjectionPlan` is present, else on
@@ -67,6 +71,7 @@ an :class:`~repro.vm.decode.InjectionPlan` is present, else on
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -119,10 +124,11 @@ UNROLL_MAX = 8
 CHAIN_MAX_BLOCKS = 8
 
 #: Process-wide compile counters, mirroring ``DECODE_EVENTS``: ``functions``
-#: increments once per :class:`CompiledFunction` build.  Tests use it to
-#: prove pool workers compile each module exactly once per process and that
-#: IR mutation (a ``Module.version`` bump) forces a recompile.
-COMPILE_EVENTS = {"functions": 0}
+#: increments once per :class:`CompiledFunction` (entry table) build,
+#: ``chains`` once per chain emitted, compiled and ``exec``-ed.  Tests use
+#: them to prove that IR mutation (a ``Module.version`` bump) forces a
+#: rebuild and that chains compile lazily, once each.
+COMPILE_EVENTS = {"functions": 0, "chains": 0}
 
 #: Integer opcodes that raise :class:`~repro.errors.ArithmeticTrap`.
 _TRAP_INT_OPS = frozenset({"sdiv", "srem", "udiv", "urem"})
@@ -167,19 +173,19 @@ class _Edge:
 class CompiledEntry:
     """One basic block's compiled entry point.
 
-    ``fn_count`` / ``fn_inject`` execute the superblock chain *starting* at
-    this block (``None`` for blocks that always run decoded — those calling
-    defined functions).  Every block gets an entry, so checkpoints can
-    resume and decoded fallback can continue at any block boundary.
+    ``fn`` executes the superblock chain *starting* at this block: a stub
+    until the block is first entered, which compiles the chain and puts it
+    in its place (``None`` for blocks that always run decoded — those
+    calling defined functions).  Every block gets an entry, so checkpoints
+    can resume and decoded fallback can continue at any block boundary.
     """
 
-    __slots__ = ("source", "dblock", "fn_count", "fn_inject")
+    __slots__ = ("source", "dblock", "fn")
 
     def __init__(self, source, dblock):
         self.source = source
         self.dblock = dblock
-        self.fn_count = None
-        self.fn_inject = None
+        self.fn = None
 
 
 _API_WIDTHS: tuple | None = None
@@ -198,6 +204,50 @@ def _entry_widths() -> tuple:
 
         _API_WIDTHS = tuple(bits for (_ty, bits, _isf) in API.values())
     return _API_WIDTHS
+
+
+def _is_f32(ty) -> bool:
+    scalar = ty.element if isinstance(ty, VectorType) else ty
+    return isinstance(scalar, FloatType) and scalar.bits == 32
+
+
+#: Instructions that may pass an f32 lane through without rounding it
+#: (calls: min/max reductions and masked-load passthrus return lanes).
+_F32_MOVERS = (
+    ExtractElement, InsertElement, ShuffleVector, Select, Phi, FNeg, Call
+)
+
+
+def _wide_f32_values(fn: Function) -> frozenset:
+    """The f32 values of ``fn`` that may hold a lane not representable in
+    binary32.
+
+    The host passes ``float`` arguments as binary64 values, and the
+    interpreter stores them unrounded: ``h - x`` computes
+    ``round_f32(h - x)`` on the exact binary64 ``h``.  Packing such a value
+    into a float32 array would round it first, so these values, and every
+    value that moves one without rounding, stay canonical (Python-float
+    lanes) in compiled chains.  A call to anything but an intrinsic (a
+    defined function, a host external) may return such a value too.
+    """
+    wide = {arg for arg in fn.args if _is_f32(arg.type)}
+    changed = True
+    while changed:
+        changed = False
+        for block in fn.blocks:
+            for instr in block.instructions:
+                if instr in wide or not _is_f32(instr.type):
+                    continue
+                if (
+                    isinstance(instr, Call)
+                    and not is_intrinsic_name(instr.callee.name)
+                ) or (
+                    isinstance(instr, _F32_MOVERS)
+                    and any(o in wide for o in instr.operands)
+                ):
+                    wide.add(instr)
+                    changed = True
+    return frozenset(wide)
 
 
 def _phi_err(phi, prev):
@@ -238,7 +288,10 @@ def exec_decoded_block(vm, dfn, dblock, regs, prev_source):
         stats.scalar += dblock.phi_scalar
         stats.vector += dblock.phi_vector
     fn_name = dfn.name
-    for ex, isvec, _opcode in dblock.steps:
+    steps = dblock.steps
+    if steps is None:
+        steps = dblock.decode_steps()
+    for ex, isvec, _opcode in steps:
         stats.total += 1
         if stats.total > limit:
             raise StepLimitExceeded(
@@ -291,7 +344,6 @@ class _FunctionCompiler:
         self.fn = dfn.fn
         self.plan = plan
         self.entries = cfn.entries
-        self.sources: list[str] = []
         self.counter = 0
         self._value_names: dict = {}
         self._block_names: dict = {}
@@ -314,6 +366,11 @@ class _FunctionCompiler:
             "list": list,
             "zip": zip,
         }
+
+    @functools.cached_property
+    def wide(self) -> frozenset:
+        """:func:`_wide_f32_values` of this function, on the first chain."""
+        return _wide_f32_values(self.fn)
 
     # -- naming ----------------------------------------------------------------
 
@@ -408,33 +465,26 @@ class _FunctionCompiler:
 
     # -- build -----------------------------------------------------------------
 
-    def build(self) -> None:
-        emitted: list[tuple] = []
-        for block in self.fn.blocks:
-            if not self._compilable(block):
-                continue  # entry stays fn_count = fn_inject = None
-            chain = self._chain_for(block)
-            if self._chain_has_sites(chain):
-                fi = self._emit_chain(block, chain, "inject")
-                fc = self._emit_chain(block, chain, "count")
-            else:
-                fi = fc = self._emit_chain(block, chain, None)
-            emitted.append((block, fi, fc))
-        if not emitted:
-            return
-        source = "\n".join(self.sources)
+    def enter(self, entry: "CompiledEntry", vm, regs, prev):
+        """The stub every compilable entry starts with: emit, ``compile``
+        and ``exec`` the chain headed here, install it in place of the
+        stub, and run it."""
+        COMPILE_EVENTS["chains"] += 1
+        head = entry.source
+        chain = self._chain_for(head)
+        name, source = self._emit_chain(head, chain, self._chain_has_sites(chain))
         code = compile(
-            source, f"<repro-compiled @{self.fn.name} v{self.cfn.version}>", "exec"
+            source,
+            f"<repro-compiled @{self.fn.name}:{head.name} v{self.cfn.version}>",
+            "exec",
         )
         exec(code, self.env)
-        for block, fi, fc in emitted:
-            entry = self.entries[block]
-            entry.fn_count = self.env[fc]
-            entry.fn_inject = self.env[fi]
+        fn = entry.fn = self.env.pop(name)
+        return fn(vm, regs, prev)
 
-    def _emit_chain(self, head, chain, mode) -> str:
+    def _emit_chain(self, head, chain, sites: bool) -> tuple[str, str]:
         name = self.fresh("c")
-        em = _ChainEmitter(self, mode)
+        em = _ChainEmitter(self, sites)
         # Self-loop chains (final condbr with exactly one successor equal to
         # the chain head) compile to an in-chain ``while`` loop; the head
         # phis dispatch dynamically once, then re-evaluate along the static
@@ -489,24 +539,25 @@ class _FunctionCompiler:
         prologue.append("        return _FB")
         prologue.append("    _ss = stats.scalar")
         prologue.append("    _sv = stats.vector")
-        if mode is not None:
+        if sites:
+            # One variant serves both modes: a count runtime's max_target
+            # is 0, so its span precheck is always false, and an inject
+            # runtime's site_widths is None, so it records no widths.
             prologue.append("    rt = vm.fault_runtime")
             prologue.append("    _dc = rt.dynamic_count")
-            if mode == "inject":
-                if loop:
-                    prologue.append("    _mt = rt.max_target")
-                    prologue.append("    _sh = rt.span_hits")
-                    prologue.append(
-                        f"    if _dc < _mt and _sh(_dc, _dc + {em.max_sites}):"
-                    )
-                else:
-                    prologue.append(
-                        f"    if _dc < rt.max_target and "
-                        f"rt.span_hits(_dc, _dc + {em.max_sites}):"
-                    )
-                prologue.append("        return _FB")
+            prologue.append("    _ws = rt.site_widths")
+            if loop:
+                prologue.append("    _mt = rt.max_target")
+                prologue.append("    _sh = rt.span_hits")
+                prologue.append(
+                    f"    if _dc < _mt and _sh(_dc, _dc + {em.max_sites}):"
+                )
             else:
-                prologue.append("    _ws = rt.site_widths")
+                prologue.append(
+                    f"    if _dc < rt.max_target and "
+                    f"rt.span_hits(_dc, _dc + {em.max_sites}):"
+                )
+            prologue.append("        return _FB")
         if loop:
             prologue.append("    _bh = vm.block_hook")
         for hoist in em.hoists:
@@ -519,24 +570,22 @@ class _FunctionCompiler:
             "        stats.scalar = _ss",
             "        stats.vector = _sv",
         ]
-        if mode is not None:
+        if sites:
             epilogue.append("        rt.dynamic_count = _dc")
-            if mode == "count":
-                epilogue.append(
-                    "        if rt.tape_interval is not None "
-                    "and _dc >= rt._next_checkpoint:"
-                )
-                epilogue.append("            rt.checkpoint_pending = True")
-        self.sources.append("\n".join(prologue + body + epilogue) + "\n")
-        return name
+            epilogue.append(
+                "        if rt.tape_interval is not None "
+                "and _dc >= rt._next_checkpoint:"
+            )
+            epilogue.append("            rt.checkpoint_pending = True")
+        return name, "\n".join(prologue + body + epilogue) + "\n"
 
 
 class _ChainEmitter:
-    """Emits the body of one chain closure (one variant)."""
+    """Emits the body of one chain closure."""
 
-    def __init__(self, fc: _FunctionCompiler, mode):
+    def __init__(self, fc: _FunctionCompiler, sites: bool):
         self.fc = fc
-        self.mode = mode  # None (no sites) | "count" | "inject"
+        self.sites = sites  # the chain bears fault sites
         self.lines: list[str] = []
         self.locals: dict = {}
         # Packed-representation locals: IR value -> ndarray-holding local.
@@ -611,15 +660,16 @@ class _ChainEmitter:
 
     def flush_sites(self) -> None:
         """Emit the coalesced dynamic-site bookkeeping accumulated since the
-        previous flush: one ``_dc`` increment and (count mode) one tape
-        extend, in site order."""
+        previous flush: one ``_dc`` increment and (count runs only) one
+        tape extend, in site order."""
         if not self.pending_sites and not self.pending_widths:
             return
         if self.pending_sites:
             self.line(f"_dc += {self.pending_sites}")
-        if self.mode == "count" and self.pending_widths:
+        if self.pending_widths:
             wb = self.fc.bind(self.pending_widths, "w")
-            self.line(f"_ws.extend({wb})")
+            self.line("if _ws is not None:")
+            self.line(f"    _ws.extend({wb})")
         self.pending_sites = 0
         self.pending_widths = b""
 
@@ -714,6 +764,13 @@ class _ChainEmitter:
             self.locals[payload] = name
         return name
 
+    def any_wide(self, instr) -> bool:
+        """True when an operand of ``instr`` may carry an unrounded f32
+        lane (:func:`_wide_f32_values`): its emitter must then use the
+        unrolled per-lane code over canonical reads instead of packing."""
+        wide = self.fc.wide
+        return bool(wide) and any(o in wide for o in instr.operands)
+
     def rd_vec(self, value, dtype) -> str:
         """Read a vector operand in packed representation, caching the
         ndarray in a chain-local (register lists pack on the spot)."""
@@ -775,6 +832,10 @@ class _ChainEmitter:
         uname = self.ulocals.get(payload)
         if uname is not None:
             return f"_ul({uname})"
+        vname = self.vlocals.get(payload)
+        if vname is not None:
+            # A packed def feeding a canonical (wide) phi edge.
+            return f"{vname}.tolist()"
         return f"regs[{self.fc.value_key(payload)}]"
 
     def rd_lane(self, value, lane: int) -> str:
@@ -848,7 +909,7 @@ class _ChainEmitter:
         canonical.  Normalizing batchable vector phis at every edge keeps
         the phi's representation statically known to both caches."""
         ty = phi.type
-        if not isinstance(ty, VectorType):
+        if not isinstance(ty, VectorType) or phi in self.fc.wide:
             return None
         return np_dtype(ty.element)
 
@@ -993,10 +1054,10 @@ class _ChainEmitter:
     # -- fault-site bookkeeping ------------------------------------------------
 
     def emit_group(self, instr, group) -> None:
-        """Advance the dynamic-site counter (and count-mode widths) for one
+        """Advance the dynamic-site counter (and count-run widths) for one
         planned group — straight-line arithmetic, no entry-point calls.
-        Injection itself never happens here: the inject variant's span
-        precheck already diverted any chain containing the target."""
+        Injection itself never happens here: the chain's span precheck
+        already diverted any chain containing a target."""
         d0 = group[0]
         n = len(group)
         width = _entry_widths()[d0.entry_index]
@@ -1004,8 +1065,7 @@ class _ChainEmitter:
             # Coalesced: flushed (in tape order) at the next commit.
             self.pending_sites += n
             self.max_sites += n
-            if self.mode == "count":
-                self.pending_widths += bytes((width,)) * n
+            self.pending_widths += bytes((width,)) * n
             return
         mask_val = instr.operands[d0.mask_operand_index]
         is_reg, payload = _spec(mask_val)
@@ -1022,8 +1082,7 @@ class _ChainEmitter:
                 active = sum(counts)
                 self.pending_sites += active
                 self.max_sites += n
-                if self.mode == "count":
-                    self.pending_widths += bytes((width,)) * active
+                self.pending_widths += bytes((width,)) * active
                 return
         # Dynamic mask: flush the coalesced counts first so the width tape
         # stays in site order, then count active lanes at run time.
@@ -1046,9 +1105,9 @@ class _ChainEmitter:
             self.line(f"{na} = {total}")
         self.line(f"_dc += {na}")
         self.max_sites += n
-        if self.mode == "count":
-            wb = self.fc.bind(bytes((width,)), "w")
-            self.line(f"_ws.extend({wb} * {na})")
+        wb = self.fc.bind(bytes((width,)), "w")
+        self.line("if _ws is not None:")
+        self.line(f"    _ws.extend({wb} * {na})")
 
     # -- instruction emission --------------------------------------------------
 
@@ -1082,8 +1141,7 @@ class _ChainEmitter:
         self.pending_add(instr.is_vector_instruction)
         if planned_store is not None:
             _op_index, group = planned_store
-            if self.mode is not None:
-                self.emit_group(instr, group)
+            self.emit_group(instr, group)
             # §II-B: the stored value's chain tax lands before the store
             # executes, so a faulting write sees tax-inclusive stats.
             self.pending_add_tax(group)
@@ -1105,8 +1163,7 @@ class _ChainEmitter:
         if lv_group is not None:
             # Result-register sites: tax and counts land after the defining
             # instruction, exactly where the spliced chain would sit.
-            if self.mode is not None:
-                self.emit_group(instr, lv_group)
+            self.emit_group(instr, lv_group)
             self.pending_add_tax(lv_group)
 
     def _emit_specialized(self, instr) -> bool:
@@ -1139,7 +1196,11 @@ class _ChainEmitter:
             self.commit()
             vty = instr.value.type
             mem = self.memref()
-            if isinstance(vty, VectorType) and np_dtype(vty.element) is not None:
+            if (
+                isinstance(vty, VectorType)
+                and np_dtype(vty.element) is not None
+                and not self.any_wide(instr)
+            ):
                 v = self.rd_vec(instr.operands[0], np_dtype(vty.element))
                 p = self.rd(instr.operands[1])
                 wtr = self.packed_mem_ref("writer", vty)
@@ -1206,7 +1267,7 @@ class _ChainEmitter:
         if trapping:
             self.commit()
         if isinstance(ty, VectorType):
-            if not trapping:
+            if not trapping and not self.any_wide(instr):
                 dt = np_dtype(ty.element)
                 bulk = ops.binop_bulk(instr.opcode, ty.element)
                 if dt is not None and bulk is not None:
@@ -1257,7 +1318,7 @@ class _ChainEmitter:
         if isinstance(operand_ty, VectorType):
             dt = np_dtype(operand_ty.element)
             bulk = ops.compare_bulk(instr.opcode, instr.predicate, operand_ty.element)
-            if dt is not None and bulk is not None:
+            if dt is not None and bulk is not None and not self.any_wide(instr):
                 a = self.rd_vec(instr.operands[0], dt)
                 b = self.rd_vec(instr.operands[1], dt)
                 fn = self.fc.bind(bulk, "f")
@@ -1293,7 +1354,7 @@ class _ChainEmitter:
         if instr.condition.type.is_vector():
             dt = np_dtype(instr.type.element)
             cdt = np_dtype(instr.condition.type.element)
-            if dt is not None and cdt is not None:
+            if dt is not None and cdt is not None and not self.any_wide(instr):
                 # Eager arms, like the unrolled path below; np.where on an
                 # int8 0/1 condition returns a fresh array.
                 c = self.rd_vec(instr.operands[0], cdt)
@@ -1332,7 +1393,7 @@ class _ChainEmitter:
         if isinstance(dst_ty, VectorType):
             sdt = np_dtype(src_ty.scalar_type)
             bulk = ops.cast_bulk(instr.opcode, src_ty.scalar_type, dst_ty.element)
-            if sdt is not None and bulk is not None:
+            if sdt is not None and bulk is not None and not self.any_wide(instr):
                 a = self.rd_vec(instr.operands[0], sdt)
                 fn = self.fc.bind(bulk, "f")
                 self.store_def_packed(instr, f"{fn}({a})")
@@ -1432,7 +1493,7 @@ class _ChainEmitter:
         if instr.type.is_vector():
             dt = np_dtype(instr.type.element)
             bulk = ops.fneg_bulk(instr.type.element)
-            if dt is not None and bulk is not None:
+            if dt is not None and bulk is not None and not self.any_wide(instr):
                 a = self.rd_vec(instr.operands[0], dt)
                 fn = self.fc.bind(bulk, "f")
                 self.store_def_packed(instr, f"{fn}({a})")
@@ -1564,7 +1625,7 @@ class _ChainEmitter:
             conv = info.mask_convention
             edt = np_dtype(elem)
             mdt = np_dtype(mask_ty.element)
-            if edt is not None and mdt is not None:
+            if edt is not None and mdt is not None and not self.any_wide(instr):
                 # Bulk path, gated at run time on the whole span being
                 # in-bounds: reading the inactive lanes is then harmless
                 # (no side effects, no traps), and an out-of-bounds span
@@ -1632,7 +1693,7 @@ class _ChainEmitter:
             conv = info.mask_convention
             edt = np_dtype(elem)
             mdt = np_dtype(mask_ty.element)
-            if edt is not None and mdt is not None:
+            if edt is not None and mdt is not None and not self.any_wide(instr):
                 # Read-modify-write over the whole span: active lanes take
                 # the (f32-quieted) data, inactive lanes are written back
                 # with their *raw* current bytes — hence the raw reader and
@@ -1748,7 +1809,7 @@ class _ChainEmitter:
                 self.line(f"if _st + {self.charged_total} > _sl:")
                 self.emit_regs_flush(2)
                 self.line(f"    return {e_back}")
-                if self.mode == "inject":
+                if self.sites:
                     self.line(
                         f"if _dc < _mt and _sh(_dc, _dc + {self.max_sites}):"
                     )
@@ -1780,7 +1841,7 @@ class _ChainEmitter:
 
 
 class CompiledFunction:
-    """A function compiled into per-block superblock chain closures."""
+    """A function's entry table; each chain compiles on its first entry."""
 
     __slots__ = ("fn", "name", "dfn", "plan", "version", "entries", "entry")
 
@@ -1794,7 +1855,10 @@ class CompiledFunction:
         self.entries = {
             block: CompiledEntry(block, dfn.blocks[block]) for block in fn.blocks
         }
-        _FunctionCompiler(self, dfn, plan).build()
+        compiler = _FunctionCompiler(self, dfn, plan)
+        for block, entry in self.entries.items():
+            if compiler._compilable(block):
+                entry.fn = functools.partial(compiler.enter, entry)
         self.entry = self.entries[fn.entry]
 
 

@@ -428,7 +428,7 @@ def _spec(value):
 def unpack_regs(regs: dict) -> None:
     """Canonicalize a register file in place for decoded execution.
 
-    The compiled engine's batched tier leaves packed ndarray slots in the
+    The block compiler's batched tier leaves packed ndarray slots in the
     register dict (:mod:`repro.vm.compile`); the decoded closures here
     index, mutate, and bit-flip vector registers as canonical Python lists,
     so every fallback into decoded execution converts first.  ``tolist`` is
@@ -803,10 +803,17 @@ def _decode_step(instr):
 
 
 class DecodedBlock:
-    """One basic block, fully resolved for execution."""
+    """One basic block, fully resolved for execution.
+
+    Phi tables and the terminator are resolved with the function; the
+    per-instruction closures (``steps``) only on the block's first decoded
+    execution (:meth:`decode_steps`).  Compiled chains need the former
+    alone, so a block that only ever runs compiled never builds closures.
+    """
 
     __slots__ = (
         "source",
+        "owner",
         "phis",
         "phi_total",
         "phi_scalar",
@@ -815,17 +822,26 @@ class DecodedBlock:
         "term",
     )
 
-    def __init__(self, source):
+    def __init__(self, source, owner: "DecodedFunction"):
         self.source = source
+        self.owner = owner
         # [(phi, {pred_block: (is_reg, payload)})], leading phis only.
         self.phis = []
         self.phi_total = 0
         self.phi_scalar = 0
         self.phi_vector = 0
-        # [(ex, is_vector, opcode)] for non-phi, non-terminator instructions.
-        self.steps = []
+        # [(ex, is_vector, opcode)] for non-phi, non-terminator
+        # instructions; None until the block first executes decoded.
+        self.steps = None
         # (tag, is_vector, opcode, payload) or None for unterminated blocks.
         self.term = None
+
+    def decode_steps(self) -> list:
+        """Build (once) and return this block's instruction closures."""
+        steps = self.steps
+        if steps is None:
+            steps = self.steps = self.owner._decode_steps(self.source)
+        return steps
 
 
 #: Process-wide decode counters.  ``functions`` increments once per
@@ -844,7 +860,7 @@ class DecodedFunction:
         self.fn = fn
         self.name = fn.name
         self.plan = plan
-        self.blocks = {block: DecodedBlock(block) for block in fn.blocks}
+        self.blocks = {block: DecodedBlock(block, self) for block in fn.blocks}
         for block, decoded in self.blocks.items():
             self._decode_block(block, decoded)
         self.entry = self.blocks[fn.entry]
@@ -870,19 +886,24 @@ class DecodedFunction:
                 decoded.phi_scalar += 1
             index += 1
 
-        plan = self.plan
-        while index < n:
-            instr = instructions[index]
-            index += 1
+        for instr in instructions[index:]:
             if instr.is_terminator:
                 decoded.term = self._decode_terminator(instr)
+                break
+
+    def _decode_steps(self, block) -> list:
+        plan = self.plan
+        steps = []
+        for instr in block.instructions[len(self.blocks[block].phis):]:
+            if instr.is_terminator:
                 break
             ex = None
             if plan is not None:
                 ex = _decode_planned_step(instr, plan, self.name)
             if ex is None:
                 ex = _decode_step(instr)
-            decoded.steps.append((ex, instr.is_vector_instruction, instr.opcode))
+            steps.append((ex, instr.is_vector_instruction, instr.opcode))
+        return steps
 
     def _decode_terminator(self, instr):
         isvec = instr.is_vector_instruction

@@ -92,9 +92,6 @@ class Interpreter:
         #: the injector when a plan is active — the compiled chains read
         #: its dynamic-site counter directly.
         self.fault_runtime = None
-        #: True when ``fault_runtime`` is injecting: compiled dispatch then
-        #: selects each block's span-checking variant.
-        self.compiled_inject = False
         self.stats = ExecutionStats()
         self.externals: dict[str, Callable] = {}
         #: Direct-injection state: the plan folds fault sites into the
@@ -216,18 +213,18 @@ class Interpreter:
     def _exec_compiled_blocks(self, cfn, regs: dict, entry, prev_block):
         """Drive compiled superblock chains (:mod:`repro.vm.compile`).
 
-        Each dispatch runs the chain *starting* at ``entry`` and returns an
-        :class:`~repro.vm.compile._Edge` (continue at its target), a
-        1-tuple (function return value), or the fallback sentinel — the
-        head block then executes through :func:`exec_decoded_block`, whose
-        planned decoded closures carry injection, trap, and step-limit
-        semantics bit-identically.  The depth-1 block hook fires at chain
-        heads, which is where checkpoints and convergence checks attach.
+        Each dispatch runs the chain *starting* at ``entry`` (compiling it
+        on first entry) and returns an :class:`~repro.vm.compile._Edge`
+        (continue at its target), a 1-tuple (function return value), or
+        the fallback sentinel — the head block then executes through
+        :func:`exec_decoded_block`, whose planned decoded closures carry
+        injection, trap, and step-limit semantics bit-identically.  The
+        depth-1 block hook fires at chain heads, which is where
+        checkpoints and convergence checks attach.
         """
         depth = self._depth
         self._depth = depth + 1
         hook = self.block_hook if depth == 0 else None
-        inject = self.compiled_inject
         entries = cfn.entries
         dfn = cfn.dfn
         try:
@@ -239,7 +236,7 @@ class Interpreter:
                     if hook is not None:
                         hook(self, dfn, regs, entry, prev_block)
                         hook = self.block_hook  # hooks may uninstall themselves
-                    fn = entry.fn_inject if inject else entry.fn_count
+                    fn = entry.fn
                     if fn is not None:
                         r = fn(self, regs, prev_block)
                         cls = r.__class__
@@ -292,7 +289,10 @@ class Interpreter:
                     stats.scalar += current.phi_scalar
                     stats.vector += current.phi_vector
 
-                for ex, isvec, opcode in current.steps:
+                steps = current.steps
+                if steps is None:
+                    steps = current.decode_steps()
+                for ex, isvec, opcode in steps:
                     stats.total += 1
                     if stats.total > limit:
                         raise StepLimitExceeded(

@@ -386,7 +386,7 @@ class Memory:
 
     # -- packed (ndarray) vector access ----------------------------------------
     #
-    # The compiled engine's batched tier moves whole vectors between memory
+    # The block compiler's batched tier moves whole vectors between memory
     # and packed ndarray register slots.  Reads return *raw* bit patterns
     # (no f32 NaN quieting — see vm/bits.py for why that is unobservable);
     # writes quiet f32 NaN lanes first, because that is exactly what the

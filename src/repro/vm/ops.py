@@ -421,7 +421,7 @@ def reduce_intrinsic(name: str, ret: Type, args: list):
 
 # -- bulk (packed ndarray) evaluators ------------------------------------------
 #
-# The compiled engine's batched tier evaluates whole vectors as single NumPy
+# The block compiler's batched tier evaluates whole vectors as single NumPy
 # calls.  Each ``*_bulk`` builder returns a callable over packed ndarrays
 # that is *bit-identical* to mapping the scalar evaluator above over the
 # canonical lane list, or ``None`` when no such callable exists (the caller

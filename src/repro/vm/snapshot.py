@@ -9,13 +9,14 @@ records a tape of them during the count (golden) run; every faulty run
 then restores the nearest checkpoint strictly before its target site and
 executes only the suffix (see DESIGN.md, "why prefix skipping is sound").
 
-Snapshot positions depend on the engine's hook granularity: the decoded
-engines snapshot at (depth-1) block boundaries, the compiled engine at
-superblock-chain boundaries (:mod:`repro.vm.compile`).  Either way the
-frame below restores into both executors unchanged — it names a function,
-a block, and the phi predecessor edge, all of which are chain heads when
-the compiled engine recorded them — so golden and faulty runs of the same
-engine always agree on where snapshots and convergence checks can land.
+Snapshot positions depend on the executor's hook granularity: the decoded
+loop (the instrumented engine) snapshots at (depth-1) block boundaries, the
+direct engine's compiled chains at superblock-chain boundaries
+(:mod:`repro.vm.compile`).  Either way the frame below restores into both
+executors unchanged — it names a function, a block, and the phi
+predecessor edge, all of which are chain heads when chains recorded them —
+so golden and faulty runs of the same engine always agree on where
+snapshots and convergence checks can land.
 
 Memory snapshots are page-granular and copy-on-write: :class:`Memory`
 tracks which pages were written since the previous snapshot, so each
@@ -129,7 +130,7 @@ class MemoryImage:
 # -- register snapshots -----------------------------------------------------
 #
 # Register files map IR values (Argument / Instruction objects) to Python
-# scalars, lists of scalars, or — in the compiled engine's batched tier —
+# scalars, lists of scalars, or — in the block compiler's batched tier —
 # packed ndarrays (:mod:`repro.vm.bits`).  The decoded closures mutate
 # vector registers in place, so snapshots (and resume copies) need depth-1
 # copies of both list and ndarray values; the scalar elements themselves

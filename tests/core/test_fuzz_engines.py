@@ -1,14 +1,15 @@
-"""Differential fuzzing: all three engines over random modules.
+"""Differential fuzzing: the direct engine against the instrumented oracle.
 
 The seeded generators live in :mod:`repro.ir.generate` (shared with the
 generated workload family) — scalar and vector arithmetic, phis (scalar,
 float, and vector), masked load/store intrinsics, plain memory traffic,
 compares, selects, casts, and shuffles.  This file runs seeded injection
-campaigns through the instrumented, direct, and compiled engines and
-requires the complete observable stream to be bit-identical: dynamic
+campaigns through the instrumented engine and the direct engine (compiled
+chains over the decoded plan) and requires the complete observable
+stream to be bit-identical: dynamic
 site counts and widths, dynamic-instruction totals (golden and faulty),
 outcomes, crash kinds, and injection records.  Modules whose golden run
-traps are kept as differential cases too (all engines must trap
+traps are kept as differential cases too (both engines must trap
 identically); zero-site modules are skipped.
 
 The workload-based differential matrix (``test_direct_engine.py``) covers
@@ -26,7 +27,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from repro.core import ENGINES, FaultInjector
+from repro.core import FaultInjector
 from repro.errors import VMTrap
 from repro.ir import F32, I32, Module
 from repro.ir.generate import (
@@ -36,6 +37,7 @@ from repro.ir.generate import (
     build_scalar_kernel,
 )
 from repro.passes.vectorize import auto_vectorized
+from tests.helpers import output_bytes
 
 
 def make_runner(seed: int):
@@ -106,6 +108,7 @@ def engine_stream(
         stream.append(
             repr(
                 (
+                    output_bytes(golden.output),
                     golden.dynamic_sites,
                     golden.dynamic_instructions,
                     bytes(golden.site_widths),
@@ -131,14 +134,9 @@ _AUTOVEC_SEEDS = int(os.environ.get("REPRO_AUTOVEC_SEEDS", "2"))
 @pytest.mark.parametrize("module_seed", range(_FUZZ_SEEDS))
 def test_engines_bit_identical_on_random_modules(module_seed):
     module = build_random_module(module_seed)
-    oracle = engine_stream(module, "instrumented")
-    for engine in ENGINES:
-        if engine == "instrumented":
-            continue
-        assert engine_stream(module, engine) == oracle, (
-            f"engine {engine!r} diverged from the instrumented oracle on "
-            f"fuzz module seed {module_seed}"
-        )
+    assert engine_stream(module, "direct") == engine_stream(
+        module, "instrumented"
+    ), f"direct diverged from the instrumented oracle on fuzz module seed {module_seed}"
 
 
 @pytest.mark.parametrize("module_seed", range(_REMAINDER_SEEDS))
@@ -146,14 +144,12 @@ def test_engines_bit_identical_on_masked_remainder_loops(module_seed):
     """Trip counts 5, 6, 7 (runner seeds 1-3) never divide the 4-lane
     width, so every module's last iteration runs a partial mask."""
     module = build_remainder_module(module_seed)
-    oracle = engine_stream(module, "instrumented", seeds=range(1, 4))
-    for engine in ENGINES:
-        if engine == "instrumented":
-            continue
-        assert engine_stream(module, engine, seeds=range(1, 4)) == oracle, (
-            f"engine {engine!r} diverged from the instrumented oracle on "
-            f"masked-remainder module seed {module_seed}"
-        )
+    assert engine_stream(module, "direct", seeds=range(1, 4)) == engine_stream(
+        module, "instrumented", seeds=range(1, 4)
+    ), (
+        f"direct diverged from the instrumented oracle on masked-remainder "
+        f"module seed {module_seed}"
+    )
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -166,19 +162,12 @@ def test_engines_bit_identical_on_autovectorized_kernels(shape, module_seed):
     scalar = build_scalar_kernel(module_seed, shape)
     module, report = auto_vectorized(scalar, "sse")
     assert report.vectorized, [loop.to_dict() for loop in report.loops]
-    oracle = engine_stream(
-        module, "instrumented", runner_factory=make_kernel_runner
+    assert engine_stream(
+        module, "direct", runner_factory=make_kernel_runner
+    ) == engine_stream(module, "instrumented", runner_factory=make_kernel_runner), (
+        f"direct diverged from the instrumented oracle on auto-vectorized "
+        f"{shape} kernel seed {module_seed}"
     )
-    for engine in ENGINES:
-        if engine == "instrumented":
-            continue
-        assert (
-            engine_stream(module, engine, runner_factory=make_kernel_runner)
-            == oracle
-        ), (
-            f"engine {engine!r} diverged from the instrumented oracle on "
-            f"auto-vectorized {shape} kernel seed {module_seed}"
-        )
 
 
 def test_generator_exercises_the_interesting_shapes():

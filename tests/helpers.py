@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: canned IR programs and random
-straight-line program generation for property-based tests."""
+"""Shared builders for the test suite: canned IR programs, random
+straight-line program generation for property-based tests, and exact
+output comparison for engine differentials."""
 
 from __future__ import annotations
 
@@ -105,3 +106,12 @@ def run_foo_reference(a: np.ndarray, x: int) -> np.ndarray:
         out.append(v)
         s += i
     return np.array(out, dtype=np.int32)
+
+
+def output_bytes(output: dict) -> list:
+    """A program output as exact bytes (floats by bit pattern), for
+    differential comparisons where ``nan != nan`` would mislead."""
+    return [
+        (name, str(np.asarray(value).dtype), np.asarray(value).tobytes())
+        for name, value in sorted(output.items())
+    ]

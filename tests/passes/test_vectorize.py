@@ -8,7 +8,7 @@ Three layers of evidence that :mod:`repro.passes.vectorize` is sound:
   is load-bearing for campaign comparability, so it is pinned byte-for-byte);
 * conservative bail-outs, one hand-built module per reason;
 * differential golden-output bit-identity: scalar vs auto-vectorized forms
-  of every generated recipe across all three engines, at trip counts that
+  of every generated recipe across both engines, at trip counts that
   do not divide any target's lane width.
 """
 
@@ -279,7 +279,7 @@ class TestIfConversion:
 
 class TestGeneratedDifferential:
     """Scalar vs auto-vectorized forms of every recipe: verifier-clean and
-    bit-identical golden outputs on all three engines."""
+    bit-identical golden outputs on both engines."""
 
     @pytest.mark.parametrize("target", TARGET_NAMES)
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)

@@ -48,6 +48,8 @@ def test_defaults_fill_in():
         {"workload": "vcopy", "tenant": ""},
         {"workload": "vcopy", "surprise": 1},
         "not-a-dict",
+        # The compiled chains are the direct engine now, not a choice.
+        {"workload": "vcopy", "engine": "compiled"},
     ],
 )
 def test_rejects_bad_payloads(bad):

@@ -211,3 +211,30 @@ def test_engine_is_back_in_the_cache_when_complete_is_emitted(tmp_path):
     with CampaignStore(tmp_path / "store") as store:
         execute_submission(store, sub, None, engines, emit)
     assert pooled_at_complete == [1]
+
+
+def test_released_engine_drops_its_golden_cache(tmp_path):
+    """A pooled engine keeps no goldens: fresh campaigns never reuse an
+    input, so a kept cache would only grow the daemon.  A repeat of a
+    journaled campaign still completes from the journal alone."""
+    from repro.service.protocol import normalize_submission
+    from repro.service.workers import EngineCache, execute_submission
+
+    engines = EngineCache()
+    sub = normalize_submission(
+        {"workload": "vcopy", "category": "pure-data", "scale": "smoke"}
+    )
+    events = []
+    with CampaignStore(tmp_path / "store") as store:
+        first = execute_submission(store, sub, None, engines, events.append)
+        (pooled,) = [i for free in engines._free.values() for i in free]
+        assert len(pooled.golden_cache) == 0
+        repeat = execute_submission(store, sub, None, engines, events.append)
+    assert len(pooled.golden_cache) == 0
+    assert engines.stats()["reuses"] == 1
+    final = [e for e in events if e["event"] == "complete"]
+    assert final[0]["misses"] > 0
+    assert final[1]["misses"] == 0
+    assert final[1]["hits"] == final[0]["misses"]
+    assert repeat.campaigns == first.campaigns
+

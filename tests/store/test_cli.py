@@ -156,3 +156,24 @@ def test_merge_verb_and_shard_facet(tmp_path, capsys):
     assert journal.read_bytes() == good
     assert main(["merge", "--store", str(parent)]) == 0
     capsys.readouterr()
+
+
+def test_resume_refuses_a_retired_engine(tmp_path, capsys, monkeypatch):
+    """A store recorded under an engine name this version no longer has
+    (``compiled``, whose chains are now the direct engine) fails resume
+    with the typed unknown-engine error instead of a traceback."""
+    from repro.core.injector import FaultInjector
+
+    store = str(tmp_path / "store")
+    identity = FaultInjector.engine_identity
+    monkeypatch.setattr(
+        FaultInjector,
+        "engine_identity",
+        lambda self: {**identity(self), "engine": "compiled"},
+    )
+    run = ["fig11", "--scale", "smoke", "--benchmark", "stencil", "--store", store]
+    assert main(run + ["--abort-after", "3"]) == 3
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["resume", "--store", store]) == 3
+    assert "unknown engine 'compiled'" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """The distributed-campaign invariant: a sweep striped across N shard
 processes and merged is **byte-identical** to the single-host serial run —
-journal and manifests alike, across all three engines — and a torn shard
+journal and manifests alike, across both engines — and a torn shard
 resumed mid-sweep still merges to the same bytes."""
 
 from dataclasses import asdict

@@ -1,5 +1,5 @@
 """The resume invariant: a campaign killed partway and resumed is
-byte-identical to one that never crashed — across all three engines,
+byte-identical to one that never crashed — across both engines,
 serial and ``--jobs 2``, and the rebuilt report never executes anything."""
 
 import json

@@ -1,10 +1,14 @@
-"""The block-compiled engine: caching, invalidation, execution parity."""
+"""The block compiler: caching, lazy chains, invalidation, execution parity."""
+
+import struct
+from random import Random
 
 import numpy as np
+import pytest
 
 from repro.core import FaultInjector
 from repro.frontend import compile_source
-from repro.ir.types import I32
+from repro.ir.types import F32, I32
 from repro.ir.values import ConstantInt
 from repro.passes.constfold import constant_fold
 from repro.passes.dce import dead_code_elimination
@@ -13,6 +17,7 @@ from repro.passes.mem2reg import promote_allocas
 from repro.vm import COMPILE_EVENTS, Interpreter
 from repro.vm.compile import compiled_program
 from repro.vm.decode import decoded_program
+from repro.workloads import get_workload
 
 KERNEL = """
 export void k(uniform int a[], uniform int b[], uniform int n) {
@@ -105,7 +110,7 @@ class TestCompileCache:
         # An injector's compiled program lives on its plan, not the module,
         # and must still track the module version.
         module = compile_source(KERNEL, "avx", optimize_ir=False)
-        injector = FaultInjector(module, engine="compiled")
+        injector = FaultInjector(module, engine="direct")
         injector.warm()
         before = compiled_program(injector.module, injector._plan)
         assert compiled_program(injector.module, injector._plan) is before
@@ -129,3 +134,93 @@ class TestCompiledExecutionParity:
                 cstats.scalar,
                 cstats.vector,
             )
+
+
+class TestLazyChains:
+    """Chains compile on first entry, once, and only when entered."""
+
+    def test_warm_compiles_no_chain(self):
+        module = compile_source(KERNEL, "avx")
+        injector = FaultInjector(module)
+        before = COMPILE_EVENTS["chains"]
+        injector.warm()
+        assert COMPILE_EVENTS["chains"] == before
+        entries = compiled_program(module, injector._plan).function(
+            module.get_function("k")
+        ).entries
+        assert entries, "warm() builds the entry table"
+
+    def test_repeated_run_compiles_no_chain(self):
+        workload = get_workload("vector_sum")
+        injector = FaultInjector(workload.compile("avx"))
+        runner = workload.build_runner(workload.sample_input(Random(3)))
+        golden = injector.golden(runner)
+        injector.experiment(runner, Random(5), golden=golden)
+        before = COMPILE_EVENTS["chains"]
+        injector.golden(runner)
+        injector.experiment(runner, Random(5), golden=golden)
+        assert COMPILE_EVENTS["chains"] == before
+
+    def test_chain_never_entered_is_never_compiled(self):
+        module = compile_source(KERNEL, "avx")
+        before = COMPILE_EVENTS["chains"]
+        # n = 0: the foreach body is never entered, so its chains stay stubs.
+        Interpreter(module, compiled=True).run("k", [0, 0, 0])
+        cold = COMPILE_EVENTS["chains"] - before
+        run_kernel(module, compiled=True)
+        assert COMPILE_EVENTS["chains"] - before > cold > 0
+
+
+#: Every batched-tier emitter fed by unrounded f32 arguments: the vector
+#: binop, compare, select, cast and fneg, the vector phi that carries ``h``
+#: around a loop, and (in the partial last iteration) the masked store.
+WIDE_KERNEL = """
+export void k(uniform float a[], uniform float o1[], uniform float o2[],
+              uniform float o3[], uniform int o4[], uniform float o5[],
+              uniform float h, uniform float g, uniform int n) {
+    foreach (i = 0 ... n) {
+        float x = a[i];
+        o1[i] = h - x;
+        float s = (x < h) ? h : x;
+        o2[i] = (s - x) + (-s + x);
+        float acc = h;
+        for (uniform int t = 0; t < 2; t++) { acc = acc * x + x; }
+        o3[i] = acc;
+        o4[i] = int((x < h) ? g : x);
+        o5[i] = h;
+    }
+}
+"""
+
+
+class TestUnroundedF32Arguments:
+    """The host passes ``float`` arguments as binary64 values, which the
+    interpreter keeps unrounded.  Chains must compute on them exactly as
+    the decoded closures do, not on float32-packed copies."""
+
+    @pytest.mark.parametrize("target", ["avx", "sse"])
+    def test_chain_matches_decoded_bit_for_bit(self, target):
+        module = compile_source(WIDE_KERNEL, target)
+        h, g = 0.35, 2.9999999999
+        # Lanes equal to h's float32 rounding make every compare and every
+        # subtraction tell h apart from float32(h).
+        a = np.array([h, 0.1, h, 0.5, h, -0.2, h, 0.3, h], dtype=np.float32)
+        n = len(a)
+
+        def run(compiled):
+            vm = Interpreter(module, compiled=compiled)
+            pa = vm.memory.store_array(F32, a, "a")
+            outs = [
+                vm.memory.store_array(ty, np.zeros(n, dtype=dt), f"o{j}")
+                for j, (ty, dt) in enumerate(
+                    [(F32, np.float32)] * 3 + [(I32, np.int32), (F32, np.float32)]
+                )
+            ]
+            vm.run("k", [pa, *outs, h, g, n])
+            data = [
+                struct.pack(f"<{n}f", *vm.memory.load_array(F32, p, n))
+                for p in outs[:3] + outs[4:]
+            ] + [vm.memory.load_array(I32, outs[3], n).tobytes()]
+            return data, (vm.stats.total, vm.stats.scalar, vm.stats.vector)
+
+        assert run(compiled=True) == run(compiled=False)
