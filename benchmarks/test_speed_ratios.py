@@ -200,11 +200,13 @@ def test_dispatch_rate_ordering():
 def test_checkpoint_restore_beats_full_replay(monkeypatch):
     """Late faults (last 10% of sites): restoring the nearest checkpoint is
     >= 1.5x faster than full replay and bit-identical to it.  The golden
-    is long enough for the injector's own policy to tape it; only the
-    checkpoint count is patched, to 64 per run."""
+    is long enough for the injector's own policy to tape it, and long
+    enough (about 34,000 instructions) that replay work, not per-run fixed
+    cost, sets the ratio; only the checkpoint count is patched, to 64 per
+    run.  Each side keeps its fastest of three sweeps."""
     monkeypatch.setattr(injector_mod, "CHECKPOINTS_PER_RUN", 64)
     module = _module()
-    runner = _runner(1024, 1234)
+    runner = _runner(4096, 1234)
     plain = FaultInjector(module, category="all", step_limit=2_000_000)
     golden = plain.golden(runner)
     n = golden.dynamic_sites
@@ -216,6 +218,9 @@ def test_checkpoint_restore_beats_full_replay(monkeypatch):
     plain_s, plain_r = _sweep(plain, runner, golden, schedule)
     ck_s, ck_r = _sweep(ck, runner, golden_ck, schedule)
     assert list(map(_signature, ck_r)) == list(map(_signature, plain_r))
+    for _ in range(2):
+        plain_s = min(plain_s, _sweep(plain, runner, golden, schedule)[0])
+        ck_s = min(ck_s, _sweep(ck, runner, golden_ck, schedule)[0])
     assert ck.checkpoint_stats["restores"] > 0
     ratio = plain_s / ck_s
     print(f"checkpoint restore: {ratio:.2f}x full replay")

@@ -168,7 +168,7 @@ class _Storeless:
     def will_execute(self, shard):
         return True
 
-    def claim(self, k, bit, params):
+    def claim(self, k, bit, params, shard=None):
         return None, None
 
     def replay(self, key):
@@ -205,7 +205,9 @@ def _draw_schedule(
     the parent, whether its faulty run then executes inline or in a pool
     worker.  A shard run draws *every* position — the schedule is one RNG
     stream, so skipping a draw would shift every later shard's triples —
-    but yields only the positions its stripe owns.  Only draws whose
+    but yields only the positions its stripe owns.  Drawing a position
+    costs no input arrays (registry runners build them on their first
+    call) and no key hash (the recorder claims only owned positions).  Only draws whose
     faulty run will execute ``inline`` may record a checkpoint tape.
     """
     for _ in range(count):
@@ -215,9 +217,10 @@ def _draw_schedule(
             injector, runner, rng, bindings_factory, record_tape
         )
         params = getattr(runner, "params", None)
-        key, seq = recorder.claim(k, bit, params)
-        if shard is not None and not shard.owns(seq):
+        claimed = recorder.claim(k, bit, params, shard)
+        if claimed is None:  # another stripe's position
             continue
+        key, seq = claimed
         yield _Draw(runner, golden, k, bit, params, key, seq, recorder.replay(key))
 
 

@@ -20,6 +20,7 @@ deliver.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 import traceback
@@ -64,6 +65,7 @@ def _shard_main(parent, index, count, worker, conn) -> None:
     from ..store.shard import shard_dir
 
     start = time.perf_counter()
+    gc.freeze()
     try:
         spec = ShardSpec(index, count)
         store = CampaignStore(shard_dir(parent, index))
@@ -119,6 +121,10 @@ def run_sharded(
     parent = Path(parent)
     parent.mkdir(parents=True, exist_ok=True)
     ctx = multiprocessing.get_context("fork")
+    # Every shard draws its inputs through numpy.random (imported lazily by
+    # numpy): import it once here, so the forked shards inherit it instead
+    # of each paying the import.
+    import numpy.random  # noqa: F401
 
     outcomes: dict[int, ShardOutcome] = {}
 

@@ -112,8 +112,8 @@ class StreamingRecorder:
     def will_execute(self, shard):
         return self._recorder.will_execute(shard)
 
-    def claim(self, k, bit, params):
-        return self._recorder.claim(k, bit, params)
+    def claim(self, k, bit, params, shard=None):
+        return self._recorder.claim(k, bit, params, shard)
 
     def replay(self, key):
         stored = self._recorder.replay(key)

@@ -72,11 +72,17 @@ def scan_frames(path: str | Path) -> list[dict]:
     "resume that shard", not a silent repair that would merge a journal
     missing its last record.
     """
+    return [record for record, _line in scan_framed_lines(path)]
+
+
+def scan_framed_lines(path: str | Path) -> list[tuple[dict, bytes]]:
+    """:func:`scan_frames` with each record's verbatim frame line (newline
+    included), for callers that copy records without re-encoding them."""
     path = Path(path)
     if not path.exists():
         return []
     data = path.read_bytes()
-    records: list[dict] = []
+    out: list[tuple[dict, bytes]] = []
     offset = 0
     while offset < len(data):
         newline = data.find(b"\n", offset)
@@ -86,13 +92,14 @@ def scan_frames(path: str | Path) -> list[dict]:
                 f"(crash mid-append) — resume the owning run to repair it"
             )
         try:
-            records.append(parse_frame(data[offset:newline]))
+            record = parse_frame(data[offset:newline])
         except ValueError as exc:
             raise StoreError(
                 f"{path}: damaged record at byte {offset} ({exc})"
             ) from exc
+        out.append((record, data[offset : newline + 1]))
         offset = newline + 1
-    return records
+    return out
 
 
 class Journal:

@@ -5,8 +5,8 @@ campaign identity + schedule position (``--shards``, like ``--jobs``,
 never enters the key), the union of N disjoint schedule stripes *is* the
 single-host serial journal — and because :func:`repro.store.journal.frame`
 is deterministic (sorted keys, compact separators, floats as bit
-patterns), re-framing the parsed shard records reproduces the serial
-file **byte for byte**.  The merged store is indistinguishable from one a
+patterns), the shard journals' verbatim frames, laid out in schedule
+order, reproduce the serial file **byte for byte**.  The merged store is indistinguishable from one a
 ``--shards 1`` run wrote locally: ``report`` rebuilds the figures from it
 alone.
 
@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .journal import StoreError, frame, scan_frames
+from .journal import StoreError, frame, scan_frames, scan_framed_lines
 from .shard import ShardSpec, find_shard_dirs, read_shard_file
 from .verify import VerifyReport, verify_store
 
@@ -96,7 +96,8 @@ class _LoadedShard:
     path: Path
     manifest_order: list[str]
     manifests: dict[str, dict]
-    records: dict[str, dict[int, dict]]
+    #: campaign key -> seq -> (record, its verbatim journal frame)
+    records: dict[str, dict[int, tuple[dict, bytes]]]
     counters: dict
 
 
@@ -118,7 +119,7 @@ def _load_shard(path: Path) -> _LoadedShard:
         raise StoreError(f"{path}: no STORE marker; not a campaign store")
     try:
         manifests = scan_frames(path / "manifests.jsonl")
-        journal = scan_frames(path / "journal.jsonl")
+        journal = scan_framed_lines(path / "journal.jsonl")
     except StoreError as exc:
         raise StoreError(f"shard {spec.spec}: {exc}") from exc
 
@@ -130,8 +131,8 @@ def _load_shard(path: Path) -> _LoadedShard:
             manifest_order.append(key)
         manifest_map[key] = manifest  # last manifest wins, as at store open
 
-    records: dict[str, dict[int, dict]] = {}
-    for record in journal:
+    records: dict[str, dict[int, tuple[dict, bytes]]] = {}
+    for record, line in journal:
         if record.get("kind") != "experiment":
             raise StoreError(
                 f"shard {spec.spec}: journal holds a "
@@ -144,7 +145,7 @@ def _load_shard(path: Path) -> _LoadedShard:
                 f"shard {spec.spec}: duplicate record for seq "
                 f"{record['seq']} of campaign {record['campaign'][:12]}"
             )
-        by_seq[record["seq"]] = record
+        by_seq[record["seq"]] = (record, line)
 
     counters = json.loads((path / "shard.json").read_text()).get("counters", {})
     return _LoadedShard(spec, path, manifest_order, manifest_map, records, counters)
@@ -234,16 +235,15 @@ def _check_coverage(shards: list[_LoadedShard]) -> None:
             )
 
 
-def _recompute_converged(manifest: dict, records: list[dict]):
+def _recompute_converged(manifest: dict, outcomes: list[str]):
     """The convergence flag a full-budget serial run would manifest.
 
     Only campaigns recorded with a :class:`CampaignConfig`-shaped config
     carry convergence semantics (``run_batch`` sweeps don't); for those,
-    chunk the merged schedule into campaigns and prefix-evaluate the same
-    predicate the live driver uses.
+    chunk the merged schedule's outcomes into campaigns and prefix-evaluate
+    the same predicate the live driver uses.
     """
-    from ..core.campaign import CampaignConfig, CampaignStats, would_converge
-    from .records import decode_result
+    from ..core.campaign import CampaignConfig, would_converge
 
     config = manifest.get("config")
     if not isinstance(config, dict):
@@ -254,12 +254,10 @@ def _recompute_converged(manifest: dict, records: list[dict]):
         return None
     per = campaign_config.experiments_per_campaign
     samples = []
-    for start in range(0, len(records), per):
-        chunk = records[start : start + per]
-        stats = CampaignStats()
-        for record in chunk:
-            stats.add(decode_result(record["result"]))
-        samples.append(stats.rate("sdc"))
+    for start in range(0, len(outcomes), per):
+        chunk = outcomes[start : start + per]
+        # CampaignStats.rate("sdc"): every record holds exactly one outcome.
+        samples.append(chunk.count("sdc") / len(chunk))
     return would_converge(samples, campaign_config)
 
 
@@ -346,13 +344,13 @@ def merge_shards(
     for key in first.manifest_order:
         merged_manifest = dict(first.manifests[key])
         planned = merged_manifest["planned"]
-        ordered: list[dict] = []
+        ordered: list[str] = []
         for seq in range(planned):
             shard = by_index[seq % count]
-            record = shard.records[key][seq]
-            journal_parts.append(frame(record))
-            ordered.append(record)
+            record, line = shard.records[key][seq]
+            journal_parts.append(line)
             outcome = record["result"]["outcome"]
+            ordered.append(outcome)
             rows[shard.spec.index].records += 1
             rows[shard.spec.index].outcomes[outcome] += 1
             totals[outcome] += 1

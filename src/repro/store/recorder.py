@@ -45,10 +45,14 @@ class CampaignRecorder:
         owned = shard is None or shard.owns(seq)
         return owned and not self.store.holds_position(self.campaign_key, seq)
 
-    def claim(self, k: int, bit: int, params) -> tuple[str, int]:
-        """The content key for the next experiment in schedule order."""
+    def claim(self, k: int, bit: int, params, shard=None) -> tuple[str, int] | None:
+        """The content key and position of the next experiment in schedule
+        order, or ``None`` when ``shard`` does not own that position: a
+        stripe hashes only its own experiments' keys."""
         seq = self._seq
         self._seq += 1
+        if shard is not None and not shard.owns(seq):
+            return None
         return experiment_key(self.campaign_key, seq, k, bit, params), seq
 
     def replay(self, key: str):

@@ -825,7 +825,9 @@ class _ChainEmitter:
             return self.const_expr(payload)
         return self._raw_reg(payload)
 
-    def _raw_reg(self, payload) -> str:
+    def _raw_reg(self, payload, canonical: bool = False) -> str:
+        """A register read with no line emitted; ``canonical`` normalizes a
+        ``regs`` slot that may hold a packed vector to its lane list."""
         name = self.locals.get(payload)
         if name is not None:
             return name
@@ -836,7 +838,8 @@ class _ChainEmitter:
         if vname is not None:
             # A packed def feeding a canonical (wide) phi edge.
             return f"{vname}.tolist()"
-        return f"regs[{self.fc.value_key(payload)}]"
+        src = f"regs[{self.fc.value_key(payload)}]"
+        return f"_ul({src})" if canonical else src
 
     def rd_lane(self, value, lane: int) -> str:
         is_reg, payload = _spec(value)
@@ -917,6 +920,11 @@ class _ChainEmitter:
         dt = self._phi_dtype(phi)
         if dt is not None:
             return self.vec_expr(spec, dt)
+        is_reg, payload = spec
+        if is_reg and isinstance(phi.type, VectorType):
+            # A wide vector phi stays canonical, but a register edge defined
+            # in another chain may hold the packed slot its bulk emitter left.
+            return self._raw_reg(payload, canonical=True)
         return self.rd_spec_raw(spec)
 
     def _cache_phi(self, phi, tmp) -> None:

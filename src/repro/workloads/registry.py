@@ -83,7 +83,7 @@ class Workload:
                     self._module_cache[key] = module
         return module
 
-    def build_runner(self, params: dict) -> Callable[[Interpreter], dict]:
+    def build_runner(self, params: dict) -> "InputRunner":
         """Build a runner that remembers its input.
 
         The returned runner carries ``params`` (so a parallel worker can
@@ -91,16 +91,17 @@ class Workload:
         ``input_key`` identifying the input instance (so the engine's golden
         cache can memoize the golden run per distinct input).  Inputs with
         unhashable parameter values get ``input_key = None`` — still
-        runnable, just never cached.
+        runnable, just never cached.  The input arrays are generated on the
+        runner's first call: a shard draws every schedule position's runner
+        but runs only its own.
         """
-        runner = self.make_runner(params)
-        runner.params = dict(params)
+        params = dict(params)
         try:
-            runner.input_key = (self.name, tuple(sorted(params.items())))
-            hash(runner.input_key)
+            input_key = (self.name, tuple(sorted(params.items())))
+            hash(input_key)
         except TypeError:
-            runner.input_key = None
-        return runner
+            input_key = None
+        return InputRunner(self.make_runner, params, input_key)
 
     def runner_factory(self) -> Callable[[Random], Callable[[Interpreter], dict]]:
         def factory(rng: Random):
@@ -111,6 +112,23 @@ class Workload:
     def reference_runner(self, seed: int = 0):
         """A runner for a fixed representative input (docs/examples)."""
         return self.make_runner(self.sample_input(Random(seed)))
+
+
+class InputRunner:
+    """One input instance's runner, built by ``make_runner`` on first call."""
+
+    __slots__ = ("params", "input_key", "_make", "_run")
+
+    def __init__(self, make_runner, params: dict, input_key):
+        self.params = params
+        self.input_key = input_key
+        self._make = make_runner
+        self._run = None
+
+    def __call__(self, vm: Interpreter) -> dict:
+        if self._run is None:
+            self._run = self._make(self.params)
+        return self._run(vm)
 
 
 _REGISTRY: dict[str, Workload] = {}

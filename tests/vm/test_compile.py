@@ -192,6 +192,19 @@ export void k(uniform float a[], uniform float o1[], uniform float o2[],
 }
 """
 
+WIDE_MERGE_KERNEL = """
+export void k(uniform float a[], uniform float o[], uniform float h,
+              uniform int n) {
+    foreach (i = 0 ... n) {
+        float x = a[i];
+        float v = h;
+        float y = x * x;
+        if (n > 5) { v = y; }
+        o[i] = v - h;
+    }
+}
+"""
+
 
 class TestUnroundedF32Arguments:
     """The host passes ``float`` arguments as binary64 values, which the
@@ -222,5 +235,25 @@ class TestUnroundedF32Arguments:
                 for p in outs[:3] + outs[4:]
             ] + [vm.memory.load_array(I32, outs[3], n).tobytes()]
             return data, (vm.stats.total, vm.stats.scalar, vm.stats.vector)
+
+        assert run(compiled=True) == run(compiled=False)
+
+    @pytest.mark.parametrize("target", ["avx", "sse"])
+    @pytest.mark.parametrize("n", [9, 3])
+    def test_merge_phi_of_wide_and_packed_matches_decoded(self, target, n):
+        """A uniform ``if`` merges the broadcast ``h`` with a vector another
+        chain computed packed; the canonical merge phi must unpack that edge,
+        or ``v - h`` runs in float32 on a rounded ``h``."""
+        module = compile_source(WIDE_MERGE_KERNEL, target)
+        h = 0.35
+        a = np.array([0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, h], dtype=np.float32)
+
+        def run(compiled):
+            vm = Interpreter(module, compiled=compiled)
+            pa = vm.memory.store_array(F32, a, "a")
+            po = vm.memory.store_array(F32, np.zeros(n, dtype=np.float32), "o")
+            vm.run("k", [pa, po, h, n])
+            out = struct.pack(f"<{n}f", *vm.memory.load_array(F32, po, n))
+            return out, (vm.stats.total, vm.stats.scalar, vm.stats.vector)
 
         assert run(compiled=True) == run(compiled=False)
