@@ -207,8 +207,9 @@ def _draw_schedule(
     stream, so skipping a draw would shift every later shard's triples —
     but yields only the positions its stripe owns.  Drawing a position
     costs no input arrays (registry runners build them on their first
-    call) and no key hash (the recorder claims only owned positions).  Only draws whose
-    faulty run will execute ``inline`` may record a checkpoint tape.
+    call) and no key hash (the recorder claims only owned positions).
+    Only draws whose faulty run will execute ``inline`` may record a
+    checkpoint tape.
     """
     for _ in range(count):
         runner = runner_factory(rng)

@@ -6,9 +6,9 @@ never enters the key), the union of N disjoint schedule stripes *is* the
 single-host serial journal — and because :func:`repro.store.journal.frame`
 is deterministic (sorted keys, compact separators, floats as bit
 patterns), the shard journals' verbatim frames, laid out in schedule
-order, reproduce the serial file **byte for byte**.  The merged store is indistinguishable from one a
-``--shards 1`` run wrote locally: ``report`` rebuilds the figures from it
-alone.
+order, reproduce the serial file **byte for byte**.  The merged store is
+indistinguishable from one a ``--shards 1`` run wrote locally: ``report``
+rebuilds the figures from it alone.
 
 The merge refuses rather than guesses: torn shard tails (resume that
 shard, don't repair here), shard-count or stripe-assignment disagreements,

@@ -45,7 +45,9 @@ class CampaignRecorder:
         owned = shard is None or shard.owns(seq)
         return owned and not self.store.holds_position(self.campaign_key, seq)
 
-    def claim(self, k: int, bit: int, params, shard=None) -> tuple[str, int] | None:
+    def claim(
+        self, k: int, bit: int, params, shard=None
+    ) -> tuple[str, int] | None:
         """The content key and position of the next experiment in schedule
         order, or ``None`` when ``shard`` does not own that position: a
         stripe hashes only its own experiments' keys."""

@@ -119,6 +119,22 @@ def test_record_and_lookup_survive_reopen(tmp_path):
     reopened.close()
 
 
+def test_claim_hashes_only_the_stripes_own_positions(tmp_path):
+    from repro.store import ShardSpec
+
+    store = _make_store(tmp_path)
+    recorder = _recorder(store, _injector())
+    shard = ShardSpec(1, 2)
+    assert recorder.claim(k=5, bit=3, params={"n": 8}, shard=shard) is None
+    key, seq = recorder.claim(k=5, bit=3, params={"n": 8}, shard=shard)
+    assert seq == 1
+    serial = _recorder(CampaignStore(tmp_path / "serial"), _injector())
+    serial.claim(k=5, bit=3, params={"n": 8})
+    assert serial.claim(k=5, bit=3, params={"n": 8}) == (key, 1)
+    store.close()
+    serial.store.close()
+
+
 def test_registry_change_refuses_resume(tmp_path, monkeypatch):
     store = _make_store(tmp_path)
     _recorder(store, _injector())

@@ -83,6 +83,30 @@ class TestRegistry:
             m = w.compile("avx")
             assert not m.get_function(w.entry).is_declaration
 
+    def test_runner_builds_its_input_on_first_call(self):
+        built = []
+        base = get_workload("vector_sum")
+
+        def make_runner(params):
+            built.append(params)
+            return base.make_runner(params)
+
+        w = Workload(
+            name="lazy", suite="Micro", language="ISPC", description="",
+            source=base.source, entry=base.entry,
+            sample_input=base.sample_input, make_runner=make_runner,
+        )
+        runner = w.build_runner({"n": 16, "seed": 3})
+        assert built == []
+        assert runner.params == {"n": 16, "seed": 3}
+        assert runner.input_key == ("lazy", (("n", 16), ("seed", 3)))
+        from repro.vm.interpreter import Interpreter
+
+        module = base.compile("avx")
+        first = runner(Interpreter(module))
+        assert runner(Interpreter(module)) == first
+        assert built == [{"n": 16, "seed": 3}]
+
     def test_duplicate_registration_rejected(self):
         from repro.workloads.registry import register
 
