@@ -30,6 +30,8 @@ import pytest
 import repro.core.injector as injector_mod
 from repro.core import FaultInjector, run_campaigns
 from repro.core.cluster import run_cell_sharded
+from repro.vm import COMPILE_EVENTS
+from repro.vm.decode import decoded_program
 from repro.workloads import get_workload
 from tests.core.test_frozen_totals import (
     EXPECTED_TOTALS,
@@ -125,19 +127,30 @@ def test_direct_mini_campaign_beats_instrumented(regime):
 
 
 @contextmanager
-def _decoded_tier():
+def _decoded_tier(injector):
     """Run the direct engine's plan on its decoded tier: the planned
-    closures its chains fall back to, with no chain compiled."""
-    real = injector_mod.Interpreter
-
-    def decoded(*args, **kwargs):
-        return real(*args, **{**kwargs, "compiled": False})
-
-    injector_mod.Interpreter = decoded
+    closures its chains fall back to.  Clears the ``chain`` slots of the
+    injector's planned program, restores them on exit, and checks that no
+    chain compiled meanwhile, so a floor never times chains against
+    chains."""
+    module = injector.module
+    program = decoded_program(module, injector._plan)
+    blocks = [
+        block
+        for fn in module.defined_functions()
+        for block in program.function(fn).blocks.values()
+    ]
+    saved = [block.chain for block in blocks]
+    assert any(chain is not None for chain in saved), "no chains to clear"
+    chains = COMPILE_EVENTS["chains"]
+    for block in blocks:
+        block.chain = None
     try:
         yield
     finally:
-        injector_mod.Interpreter = real
+        for block, chain in zip(blocks, saved):
+            block.chain = chain
+    assert COMPILE_EVENTS["chains"] == chains, "a chain compiled on the decoded tier"
 
 
 def test_chain_faulty_sweep_beats_decoded_tier():
@@ -153,7 +166,7 @@ def test_chain_faulty_sweep_beats_decoded_tier():
     # decodes every block) the schedule reaches.
     _sweep(injector, runner, golden, schedule)
     chains_s, chains_r = _sweep(injector, runner, golden, schedule)
-    with _decoded_tier():
+    with _decoded_tier(injector):
         _sweep(injector, runner, golden, schedule)
         decoded_s, decoded_r = _sweep(injector, runner, golden, schedule)
     assert list(map(_signature, chains_r)) == list(map(_signature, decoded_r))
@@ -179,7 +192,7 @@ def test_dispatch_rate_ordering():
         injector = FaultInjector(
             module, category="all", step_limit=2_000_000, engine=engine
         )
-        with context():
+        with context(injector):
             golden = injector.golden(runner)
             counts.add(golden.dynamic_instructions)
             gc.collect()

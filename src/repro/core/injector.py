@@ -228,19 +228,14 @@ class FaultInjector:
         """Build this engine's per-function tables eagerly.
 
         Decodes every defined function's phi tables and terminators and,
-        for the direct engine, builds its chain entry table now instead of
-        on the first run.  Chains and decoded closures still build on
-        their first execution: a block no run reaches costs nothing.
-        Parallel workers call this once at fork.
+        for the direct engine, installs its chain stubs now instead of on
+        the first run.  Chains and decoded closures still build on their
+        first execution: a block no run reaches costs nothing.  Parallel
+        workers call this once at fork.
         """
-        from ..vm.compile import compiled_program
         from ..vm.decode import decoded_program
 
-        program = (
-            compiled_program(self.module, self._plan)
-            if self._plan is not None
-            else decoded_program(self.module)
-        )
+        program = decoded_program(self.module, self._plan)
         for fn in self.module.defined_functions():
             program.function(fn)
 
@@ -316,12 +311,7 @@ class FaultInjector:
         bindings_factory: BindingsFactory | None,
         prepared: tuple | None = None,
     ) -> tuple[Interpreter, Callable[[], bool]]:
-        vm = Interpreter(
-            self.module,
-            step_limit=self.step_limit,
-            plan=self._plan,
-            compiled=self._plan is not None,
-        )
+        vm = Interpreter(self.module, step_limit=self.step_limit, plan=self._plan)
         if self._plan is not None:
             if prepared is not None:
                 vm.fault_entries, vm.fault_spans = prepared
@@ -405,9 +395,6 @@ class FaultInjector:
                     stats_total=stats.total,
                     stats_scalar=stats.scalar,
                     stats_vector=stats.vector,
-                    by_opcode=(
-                        stats.by_opcode.copy() if vm.count_opcodes else None
-                    ),
                     frame=FrameState(
                         function_name=decoded.name,
                         block=current.source,
@@ -540,10 +527,9 @@ class FaultInjector:
                 cstats["sites_skipped"] += restored.dynamic_count
             else:
                 cstats["full_replays"] += 1
-            if not vm.count_opcodes:
-                hook = self._convergence_hook(rt, tape, restored)
-                if hook is not None:
-                    vm.block_hook = hook
+            hook = self._convergence_hook(rt, tape, restored)
+            if hook is not None:
+                vm.block_hook = hook
         try:
             output = runner(vm)
         except ConvergedToGolden:

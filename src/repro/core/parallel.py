@@ -139,7 +139,7 @@ class _WorkerEngine:
                 source.build(), functools.partial(build_runner, source.workload)
             )
         injector = FaultInjector(**source.injector)
-        # Build every defined function's decode and entry tables now;
+        # Decode every defined function and install its chain stubs now;
         # chains still compile on first entry.
         injector.warm()
         maker = source.bindings_factory_maker

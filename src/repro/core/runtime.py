@@ -160,8 +160,8 @@ class FaultRuntime:
         """True when any target index lies in the half-open span ``(lo, hi]``.
 
         Compiled chains call this once per superblock chain with the
-        chain's *maximum* possible site consumption: a hit sends the head
-        block to the decoded fallback, where the per-group span advancers
+        chain's *maximum* possible site consumption: a hit runs the head
+        block's decoded body instead, where the per-group span advancers
         reproduce the injection exactly.
         """
         for t in self.targets:

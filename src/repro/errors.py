@@ -98,12 +98,6 @@ class MemoryFault(VMTrap):
     kind = "segfault"
 
 
-class AlignmentFault(VMTrap):
-    """Misaligned access where the ISA requires natural alignment."""
-
-    kind = "alignment"
-
-
 class ArithmeticTrap(VMTrap):
     """Integer division by zero or INT_MIN / -1 overflow (simulated SIGFPE)."""
 

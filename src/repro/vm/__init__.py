@@ -12,7 +12,7 @@ from .bits import (
     to_unsigned,
     wrap_int,
 )
-from .compile import COMPILE_EVENTS, CompiledProgram, compiled_program
+from .compile import COMPILE_EVENTS
 from .interpreter import DEFAULT_STEP_LIMIT, ExecutionStats, Interpreter
 from .memory import GUARD_GAP, HEAP_BASE, Memory
 from .snapshot import (
@@ -39,8 +39,6 @@ __all__ = [
     "to_unsigned",
     "wrap_int",
     "COMPILE_EVENTS",
-    "CompiledProgram",
-    "compiled_program",
     "DEFAULT_STEP_LIMIT",
     "ExecutionStats",
     "Interpreter",

@@ -7,12 +7,12 @@ a dictionary store.  This module compiles each basic block — and each
 *superblock*, the chain of blocks reachable through unconditional branches —
 into one specialized Python function, generated as source and
 ``exec``-compiled the first time execution enters the block (a block that
-never runs never compiles; see :class:`CompiledEntry`):
+never runs never compiles; see :func:`install_chains`):
 
 * constant operands are folded into the generated source;
 * register reads become local variables after the first load (defs are
   still written through to the register dict, so checkpoints, convergence
-  comparison, and decoded fallback always see the exact interpreter state);
+  comparison, and the decoded body always see the exact interpreter state);
 * per-class handlers are inlined (f32 arithmetic, signed compares, geps,
   masked AVX/SSE intrinsics, ...), with vector lane loops unrolled up to
   width :data:`UNROLL_MAX`;
@@ -30,8 +30,8 @@ never runs never compiles; see :class:`CompiledEntry`):
   passed unrounded (:func:`_wide_f32_values`): packing would round it.  The
   canonical list representation remains the interface everywhere else: any
   read in a lane-wise context unpacks via ``tolist`` (an exact widening —
-  see vm/bits.py), decoded fallback canonicalizes the whole register file
-  first (:func:`repro.vm.decode.unpack_regs`), and convergence comparison
+  see vm/bits.py), a decoded block run after a chain canonicalizes the
+  whole register file first (:func:`repro.vm.decode.unpack_regs`), and convergence comparison
   understands both representations (:mod:`repro.vm.snapshot`).  Masked
   fault-site groups count active lanes with one vectorized reduction
   (``PlannedSite.active_bulk_fn``); dynamic-site increments and count-run
@@ -53,20 +53,24 @@ bears fault sites is emitted once and serves both halves of an experiment:
   ``site_widths`` is a bytearray, an inject run's is ``None``);
 * it prechecks the whole chain's maximum site span against the run's
   target indices (``_dc < rt.max_target and ...``, always false in a count
-  run, whose ``max_target`` is 0) and *falls back to the decoded
-  interpreter* for the one block whose span contains the target — the
-  decoded planned appliers then reproduce the spliced-chain injection
-  (value, RNG draw, record, trap behaviour) bit for bit.
+  run, whose ``max_target`` is 0) and returns :data:`FALLBACK` when the
+  span contains the target: the interpreter's block loop then runs that
+  one block's decoded body, whose planned appliers reproduce the
+  spliced-chain injection (value, RNG draw, record, trap behaviour) bit
+  for bit.
 
-The same fallback handles the near-step-limit case (the decoded loop raises
-at the exact instruction the budget crosses) and blocks that call defined
-functions.  Checkpoint tapes and the convergence hook attach at chain
-heads: golden and faulty runs execute the *same* chains, so their depth-1
-hook points coincide.
+The same fallback handles the near-step-limit case (the decoded body raises
+at the exact instruction the budget crosses); blocks that call defined
+functions carry no chain and always run decoded.  Checkpoint tapes and the
+convergence hook attach at chain heads: golden and faulty runs execute the
+*same* chains, so their depth-1 hook points coincide.
 
-Compiled programs are cached like decoded ones: on ``plan._compiled`` when
-an :class:`~repro.vm.decode.InjectionPlan` is present, else on
-``module._vm_compiled``, both invalidated by :attr:`Module.version`.
+Chains exist only in planned programs: each lives in the ``chain`` slot of
+its head :class:`~repro.vm.decode.DecodedBlock`, so it shares the decoded
+program's cache on the :class:`~repro.vm.decode.InjectionPlan` and its
+invalidation by :attr:`Module.version`.  Plan-less execution (the
+instrumented oracle, plain :class:`~repro.vm.interpreter.Interpreter` runs)
+never compiles.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import math
 
 import numpy as np
 
-from ..errors import InvalidOperation, StepLimitExceeded
+from ..errors import InvalidOperation
 from ..ir.instructions import (
     Alloca,
     BinaryOp,
@@ -94,7 +98,7 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.intrinsics import MASK_I1, MASK_SIGN, get_intrinsic, is_intrinsic_name
-from ..ir.module import Function, Module
+from ..ir.module import Function
 from ..ir.types import FloatType, IntType, PointerType, VectorType
 from . import ops
 from .bits import (
@@ -106,14 +110,12 @@ from .bits import (
     wrap_int,
 )
 from .decode import (
-    InjectionPlan,
     T_BR,
     T_CONDBR,
     T_RET,
     T_UNREACHABLE,
     _decode_step,
     _spec,
-    decoded_program,
 )
 
 #: Maximum vector width whose lane loops are unrolled in generated source
@@ -124,7 +126,7 @@ UNROLL_MAX = 8
 CHAIN_MAX_BLOCKS = 8
 
 #: Process-wide compile counters, mirroring ``DECODE_EVENTS``: ``functions``
-#: increments once per :class:`CompiledFunction` (entry table) build,
+#: increments once per planned function given its chain stubs,
 #: ``chains`` once per chain emitted, compiled and ``exec``-ed.  Tests use
 #: them to prove that IR mutation (a ``Module.version`` bump) forces a
 #: rebuild and that chains compile lazily, once each.
@@ -146,9 +148,8 @@ _MEMORY_INTRINSICS = ("maskload", "maskstore", "gather", "scatter")
 
 
 class _Fallback:
-    """Singleton sentinel: 'execute my head block through the decoded
-    interpreter instead' (target site in span, or step budget nearly
-    exhausted)."""
+    """Singleton sentinel: 'run my head block's decoded body instead'
+    (target site in span, or step budget nearly exhausted)."""
 
     __slots__ = ()
 
@@ -161,31 +162,14 @@ FALLBACK = _Fallback()
 
 class _Edge:
     """A pre-resolved control-flow edge returned by chain closures: the
-    target block's entry plus the phi predecessor edge."""
+    target :class:`~repro.vm.decode.DecodedBlock` plus the phi predecessor
+    edge."""
 
-    __slots__ = ("entry", "prev")
+    __slots__ = ("target", "prev")
 
-    def __init__(self, entry: "CompiledEntry", prev):
-        self.entry = entry
+    def __init__(self, target, prev):
+        self.target = target
         self.prev = prev
-
-
-class CompiledEntry:
-    """One basic block's compiled entry point.
-
-    ``fn`` executes the superblock chain *starting* at this block: a stub
-    until the block is first entered, which compiles the chain and puts it
-    in its place (``None`` for blocks that always run decoded — those
-    calling defined functions).  Every block gets an entry, so checkpoints
-    can resume and decoded fallback can continue at any block boundary.
-    """
-
-    __slots__ = ("source", "dblock", "fn")
-
-    def __init__(self, source, dblock):
-        self.source = source
-        self.dblock = dblock
-        self.fn = None
 
 
 _API_WIDTHS: tuple | None = None
@@ -258,92 +242,17 @@ def _phi_err(phi, prev):
     )
 
 
-# -- single-block decoded fallback ---------------------------------------------
-
-
-def exec_decoded_block(vm, dfn, dblock, regs, prev_source):
-    """Execute exactly one decoded block with the interpreter's accounting.
-
-    A verbatim single-block replica of ``Interpreter._exec_blocks``'s inner
-    loop — per-instruction charges, the exact step-limit raise point, phi
-    parallel evaluation, planned injection appliers — used for chains that
-    bailed out (site in span, budget nearly exhausted) and for blocks that
-    are never compiled.  Returns ``(next_source_block, prev_source_block)``
-    to continue, or ``(None, return_value)`` on ``ret``.
-    """
-    stats = vm.stats
-    limit = vm.step_limit
-    phis = dblock.phis
-    if phis:
-        values = []
-        for phi, table in phis:
-            spec = table.get(prev_source)
-            if spec is None:
-                phi.incoming_for(prev_source)  # raises the exact IRError
-            is_reg, payload = spec
-            values.append(regs[payload] if is_reg else payload)
-        for (phi, _), value in zip(phis, values):
-            regs[phi] = value
-        stats.total += dblock.phi_total
-        stats.scalar += dblock.phi_scalar
-        stats.vector += dblock.phi_vector
-    fn_name = dfn.name
-    steps = dblock.steps
-    if steps is None:
-        steps = dblock.decode_steps()
-    for ex, isvec, _opcode in steps:
-        stats.total += 1
-        if stats.total > limit:
-            raise StepLimitExceeded(
-                f"@{fn_name}: exceeded {limit} dynamic instructions"
-            )
-        if isvec:
-            stats.vector += 1
-        else:
-            stats.scalar += 1
-        ex(vm, regs)
-    term = dblock.term
-    if term is None:
-        raise InvalidOperation(
-            f"@{fn_name}:{dblock.source.name}: fell off the end of a block"
-        )
-    tag, isvec, _opcode, payload = term
-    stats.total += 1
-    if stats.total > limit:
-        raise StepLimitExceeded(
-            f"@{fn_name}: exceeded {limit} dynamic instructions"
-        )
-    if isvec:
-        stats.vector += 1
-    else:
-        stats.scalar += 1
-    if tag == T_BR:
-        return payload.source, dblock.source
-    if tag == T_CONDBR:
-        is_reg, cond, true_block, false_block = payload
-        cv = regs[cond] if is_reg else cond
-        return (true_block if cv else false_block).source, dblock.source
-    if tag == T_RET:
-        if payload is None:
-            return None, None
-        is_reg, value = payload
-        return None, (regs[value] if is_reg else value)
-    assert tag == T_UNREACHABLE
-    raise InvalidOperation(f"@{fn_name}: reached 'unreachable'")
-
-
 # -- source generation ---------------------------------------------------------
 
 
 class _FunctionCompiler:
     """Generates and ``exec``-compiles all chain closures of one function."""
 
-    def __init__(self, cfn: "CompiledFunction", dfn, plan: InjectionPlan | None):
-        self.cfn = cfn
+    def __init__(self, dfn, version: int):
         self.dfn = dfn
         self.fn = dfn.fn
-        self.plan = plan
-        self.entries = cfn.entries
+        self.plan = dfn.plan
+        self.version = version
         self.counter = 0
         self._value_names: dict = {}
         self._block_names: dict = {}
@@ -402,7 +311,7 @@ class _FunctionCompiler:
         key = (target_block, prev_block)
         name = self._edge_names.get(key)
         if name is None:
-            name = self.bind(_Edge(self.entries[target_block], prev_block), "e")
+            name = self.bind(_Edge(self.dfn.blocks[target_block], prev_block), "e")
             self._edge_names[key] = name
         return name
 
@@ -446,7 +355,7 @@ class _FunctionCompiler:
             term = self.dfn.blocks[chain[-1]].term
             if term is None or term[0] != T_BR:
                 break
-            nxt = term[3].source
+            nxt = term[2].source
             if nxt in seen or not self._compilable(nxt):
                 break
             chain.append(nxt)
@@ -465,21 +374,21 @@ class _FunctionCompiler:
 
     # -- build -----------------------------------------------------------------
 
-    def enter(self, entry: "CompiledEntry", vm, regs, prev):
-        """The stub every compilable entry starts with: emit, ``compile``
+    def enter(self, dblock, vm, regs, prev):
+        """The stub every compilable block starts with: emit, ``compile``
         and ``exec`` the chain headed here, install it in place of the
         stub, and run it."""
         COMPILE_EVENTS["chains"] += 1
-        head = entry.source
+        head = dblock.source
         chain = self._chain_for(head)
         name, source = self._emit_chain(head, chain, self._chain_has_sites(chain))
         code = compile(
             source,
-            f"<repro-compiled @{self.fn.name}:{head.name} v{self.cfn.version}>",
+            f"<repro-compiled @{self.fn.name}:{head.name} v{self.version}>",
             "exec",
         )
         exec(code, self.env)
-        fn = entry.fn = self.env.pop(name)
+        fn = dblock.chain = self.env.pop(name)
         return fn(vm, regs, prev)
 
     def _emit_chain(self, head, chain, sites: bool) -> tuple[str, str]:
@@ -492,7 +401,7 @@ class _FunctionCompiler:
         dterm = self.dfn.blocks[chain[-1]].term
         loop = False
         if dterm is not None and dterm[0] == T_CONDBR:
-            _ir, _c, tb, fb = dterm[3]
+            _ir, _c, tb, fb = dterm[2]
             loop = (tb.source is head) != (fb.source is head)
         if loop:
             em.loop_head = head
@@ -1651,10 +1560,7 @@ class _ChainEmitter:
                     pt_list = self.fresh_local()
                 rdr = self.packed_mem_ref("reader", data_ty)
                 out = self.fresh_local()
-                self.line(
-                    f"if not {mem}.strict_alignment and "
-                    f"{mem}.range_ok({addr}, {length * stride}):"
-                )
+                self.line(f"if {mem}.range_ok({addr}, {length * stride}):")
                 self.line(f"    {out} = _WH({test}, {rdr}({addr}), {pt})")
                 self.line("else:")
                 ml = self.fresh_local()
@@ -1719,10 +1625,7 @@ class _ChainEmitter:
                 data_expr = f"_QN({d})" if f32 else d
                 wtr = self.packed_mem_ref("writer_raw", data_ty)
                 rdr = self.packed_mem_ref("reader", data_ty)
-                self.line(
-                    f"if not {mem}.strict_alignment and "
-                    f"{mem}.range_ok({addr}, {length * stride}):"
-                )
+                self.line(f"if {mem}.range_ok({addr}, {length * stride}):")
                 self.line(
                     f"    {wtr}({addr}, _WH({test}, {data_expr}, {rdr}({addr})))"
                 )
@@ -1781,7 +1684,7 @@ class _ChainEmitter:
 
     def emit_term(self, dblock, last: bool) -> None:
         term = dblock.term
-        tag, isvec, _opcode, payload = term
+        tag, isvec, payload = term
         self.pending_add(isvec)
         src = dblock.source
         if tag == T_BR:
@@ -1845,75 +1748,19 @@ class _ChainEmitter:
             self.line(f"raise _IO({msg!r})")
 
 
-# -- compiled program ----------------------------------------------------------
+# -- chain stubs ----------------------------------------------------------------
 
 
-class CompiledFunction:
-    """A function's entry table; each chain compiles on its first entry."""
+def install_chains(dfn, version: int) -> None:
+    """Give each compilable block of a planned function its chain stub.
 
-    __slots__ = ("fn", "name", "dfn", "plan", "version", "entries", "entry")
-
-    def __init__(self, fn: Function, dfn, plan: InjectionPlan | None, version: int):
-        COMPILE_EVENTS["functions"] += 1
-        self.fn = fn
-        self.name = fn.name
-        self.dfn = dfn
-        self.plan = plan
-        self.version = version
-        self.entries = {
-            block: CompiledEntry(block, dfn.blocks[block]) for block in fn.blocks
-        }
-        compiler = _FunctionCompiler(self, dfn, plan)
-        for block, entry in self.entries.items():
-            if compiler._compilable(block):
-                entry.fn = functools.partial(compiler.enter, entry)
-        self.entry = self.entries[fn.entry]
-
-
-class CompiledProgram:
-    """Lazily compiled functions of one module at one version.
-
-    Shares the decoded program (same plan, same cache slots) — the decoded
-    blocks are both the fallback path and the source of pre-resolved phi
-    tables and terminators.
+    The stub compiles the chain headed at its block on first entry and
+    puts it in the block's ``chain`` slot; a block no run reaches never
+    compiles.  ``version`` is the module version the decoded program was
+    built at (it names the generated code).
     """
-
-    __slots__ = ("version", "plan", "decoded", "_functions")
-
-    def __init__(self, module: Module, plan: InjectionPlan | None = None):
-        self.version = module.version
-        self.plan = plan
-        self.decoded = decoded_program(module, plan)
-        self._functions: dict = {}
-
-    def function(self, fn: Function) -> CompiledFunction:
-        compiled = self._functions.get(fn)
-        if compiled is None:
-            compiled = CompiledFunction(
-                fn, self.decoded.function(fn), self.plan, self.version
-            )
-            self._functions[fn] = compiled
-        return compiled
-
-
-def compiled_program(
-    module: Module, plan: InjectionPlan | None = None
-) -> CompiledProgram:
-    """The module's compile cache, invalidated by :attr:`Module.version`.
-
-    Like :func:`~repro.vm.decode.decoded_program`: with a ``plan`` the
-    program lives on the plan (``plan._compiled``), else on the module
-    (``module._vm_compiled``), so planned closures never leak into plain
-    execution and stale code can never run after an IR transformation.
-    """
-    if plan is not None:
-        program = plan._compiled
-        if program is None or program.version != module.version:
-            program = CompiledProgram(module, plan)
-            plan._compiled = program
-        return program
-    program = getattr(module, "_vm_compiled", None)
-    if program is None or program.version != module.version:
-        program = CompiledProgram(module)
-        module._vm_compiled = program
-    return program
+    COMPILE_EVENTS["functions"] += 1
+    compiler = _FunctionCompiler(dfn, version)
+    for block, dblock in dfn.blocks.items():
+        if compiler._compilable(block):
+            dblock.chain = functools.partial(compiler.enter, dblock)

@@ -142,15 +142,12 @@ class InjectionPlan:
     into the module's plain decode cache.
     """
 
-    __slots__ = ("lvalue", "store", "_decoded", "_compiled")
+    __slots__ = ("lvalue", "store", "_decoded")
 
     def __init__(self):
         self.lvalue: dict = {}
         self.store: dict = {}
         self._decoded: DecodedProgram | None = None
-        # Compiled-program cache (:mod:`repro.vm.compile`), owned by the
-        # plan for the same reason as ``_decoded``.
-        self._compiled = None
 
     def __len__(self) -> int:
         return sum(len(g) for g in self.lvalue.values()) + sum(
@@ -431,8 +428,8 @@ def unpack_regs(regs: dict) -> None:
     The block compiler's batched tier leaves packed ndarray slots in the
     register dict (:mod:`repro.vm.compile`); the decoded closures here
     index, mutate, and bit-flip vector registers as canonical Python lists,
-    so every fallback into decoded execution converts first.  ``tolist`` is
-    the exact widening (f32 lanes quiet like ``struct.unpack('<f')``)."""
+    so decoded execution after a chain converts first.  ``tolist`` is the
+    exact widening (f32 lanes quiet like ``struct.unpack('<f')``)."""
     for key, value in regs.items():
         if type(value) is np.ndarray:
             regs[key] = value.tolist()
@@ -809,6 +806,11 @@ class DecodedBlock:
     per-instruction closures (``steps``) only on the block's first decoded
     execution (:meth:`decode_steps`).  Compiled chains need the former
     alone, so a block that only ever runs compiled never builds closures.
+
+    ``chain`` is the compiled superblock chain headed here
+    (:mod:`repro.vm.compile`): a stub that compiles the chain on first
+    entry, then the chain itself.  It is ``None`` in plan-less programs,
+    which never compile, and for blocks that always run decoded.
     """
 
     __slots__ = (
@@ -820,6 +822,7 @@ class DecodedBlock:
         "phi_vector",
         "steps",
         "term",
+        "chain",
     )
 
     def __init__(self, source, owner: "DecodedFunction"):
@@ -830,11 +833,12 @@ class DecodedBlock:
         self.phi_total = 0
         self.phi_scalar = 0
         self.phi_vector = 0
-        # [(ex, is_vector, opcode)] for non-phi, non-terminator
-        # instructions; None until the block first executes decoded.
+        # [(ex, is_vector)] for non-phi, non-terminator instructions; None
+        # until the block first executes decoded.
         self.steps = None
-        # (tag, is_vector, opcode, payload) or None for unterminated blocks.
+        # (tag, is_vector, payload) or None for unterminated blocks.
         self.term = None
+        self.chain = None
 
     def decode_steps(self) -> list:
         """Build (once) and return this block's instruction closures."""
@@ -902,31 +906,33 @@ class DecodedFunction:
                 ex = _decode_planned_step(instr, plan, self.name)
             if ex is None:
                 ex = _decode_step(instr)
-            steps.append((ex, instr.is_vector_instruction, instr.opcode))
+            steps.append((ex, instr.is_vector_instruction))
         return steps
 
     def _decode_terminator(self, instr):
         isvec = instr.is_vector_instruction
-        opcode = instr.opcode
         if isinstance(instr, Branch):
-            return (T_BR, isvec, opcode, self.blocks[instr.target])
+            return (T_BR, isvec, self.blocks[instr.target])
         if isinstance(instr, CondBranch):
             r, p = _spec(instr.condition)
             return (
                 T_CONDBR,
                 isvec,
-                opcode,
                 (r, p, self.blocks[instr.true_target], self.blocks[instr.false_target]),
             )
         if isinstance(instr, Return):
             rv = instr.return_value
-            return (T_RET, isvec, opcode, None if rv is None else _spec(rv))
+            return (T_RET, isvec, None if rv is None else _spec(rv))
         assert isinstance(instr, Unreachable)
-        return (T_UNREACHABLE, isvec, opcode, None)
+        return (T_UNREACHABLE, isvec, None)
 
 
 class DecodedProgram:
-    """Lazily decoded functions of one module at one version."""
+    """Lazily decoded functions of one module at one version.
+
+    A planned program also gives each function's compilable blocks their
+    chain stubs (:func:`repro.vm.compile.install_chains`).
+    """
 
     __slots__ = ("version", "plan", "_functions")
 
@@ -939,6 +945,10 @@ class DecodedProgram:
         decoded = self._functions.get(fn)
         if decoded is None:
             decoded = DecodedFunction(fn, self.plan)
+            if self.plan is not None:
+                from .compile import install_chains
+
+                install_chains(decoded, self.version)
             self._functions[fn] = decoded
         return decoded
 

@@ -16,8 +16,12 @@ Semantics notes (all deliberate, all x86-flavoured, see DESIGN.md):
 
 The scalar semantics live in :mod:`repro.vm.ops`; per-instruction dispatch
 is pre-compiled by :mod:`repro.vm.decode` into specialised closures, so the
-hot loop below only does step accounting and control flow.  The decoded
-program is cached on the module and invalidated by IR mutation.
+one block loop below only does step accounting and control flow.  A planned
+program (direct injection) also carries compiled superblock chains
+(:mod:`repro.vm.compile`): the loop runs a block's chain when it has one and
+its decoded body otherwise, so chains run exactly when a plan is present.
+The decoded program is cached on the module (on the plan, when planned) and
+invalidated by IR mutation.
 
 External functions (the VULFI runtime, detector runtime) are bound by name
 via :meth:`Interpreter.bind`; unbound declarations trap.
@@ -25,8 +29,7 @@ via :meth:`Interpreter.bind`; unbound declarations trap.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +38,7 @@ from ..errors import InvalidOperation, StepLimitExceeded
 from ..ir.intrinsics import MASK_SIGN, IntrinsicInfo
 from ..ir.module import Function, Module
 from ..ir.types import Type, VectorType
-from .compile import _Edge, compiled_program, exec_decoded_block
+from .compile import _Edge
 from .decode import (
     InjectionPlan,
     T_BR,
@@ -59,35 +62,30 @@ class ExecutionStats:
     total: int = 0
     scalar: int = 0
     vector: int = 0
-    by_opcode: Counter = field(default_factory=Counter)
 
     def reset(self) -> None:
         self.total = 0
         self.scalar = 0
         self.vector = 0
-        self.by_opcode.clear()
 
 
 class Interpreter:
-    """Executes IR functions of one module against a fresh :class:`Memory`."""
+    """Executes IR functions of one module against a fresh :class:`Memory`.
+
+    With an injection ``plan`` the program runs as compiled superblock
+    chains (:mod:`repro.vm.compile`) over the planned decoded blocks;
+    without one it runs decoded only and never compiles.
+    """
 
     def __init__(
         self,
         module: Module,
         step_limit: int = DEFAULT_STEP_LIMIT,
-        count_opcodes: bool = False,
-        strict_alignment: bool = False,
         plan: InjectionPlan | None = None,
-        compiled: bool = False,
     ):
         self.module = module
-        self.memory = Memory(strict_alignment=strict_alignment)
+        self.memory = Memory()
         self.step_limit = step_limit
-        self.count_opcodes = count_opcodes
-        #: Compiled execution (:mod:`repro.vm.compile`): run superblock
-        #: chain closures instead of the decoded loop.  Opcode counting has
-        #: no compiled fast path, so it forces the decoded loop back on.
-        self.compiled = compiled and not count_opcodes
         #: The per-run :class:`~repro.core.runtime.FaultRuntime`, bound by
         #: the injector when a plan is active — the compiled chains read
         #: its dynamic-site counter directly.
@@ -144,21 +142,19 @@ class Interpreter:
         invocation = self._invocations
         self._invocations = invocation + 1
         self.current_invocation = invocation
-        resume = self.pending_resume
-        if resume is not None and resume.invocation == invocation:
-            self.pending_resume = None
-            return self._resume_function(fn, resume)
-        return self._exec_function(fn, list(args))
+        # Chains evaluate whole-vector NumPy expressions whose scalar
+        # counterparts are silent on overflow/invalid/div-by-zero; suppress
+        # the warnings wholesale so semantics (and stderr) match.
+        with np.errstate(all="ignore"):
+            resume = self.pending_resume
+            if resume is not None and resume.invocation == invocation:
+                self.pending_resume = None
+                return self._resume_function(fn, resume)
+            return self._exec_function(fn, list(args))
 
     # -- main loop ---------------------------------------------------------------------
 
     def _exec_function(self, fn: Function, args: list):
-        if self.compiled:
-            cfn = compiled_program(self.module, self.plan).function(fn)
-            regs = {}
-            for formal, actual in zip(fn.args, args):
-                regs[formal] = actual
-            return self._exec_compiled_blocks(cfn, regs, cfn.entry, None)
         decoded = decoded_program(self.module, self.plan).function(fn)
         regs: dict = {}
         for formal, actual in zip(fn.args, args):
@@ -179,12 +175,8 @@ class Interpreter:
             raise InvalidOperation(
                 f"checkpoint resumes @{frame.function_name}, not @{fn.name}"
             )
-        if self.compiled:
-            cfn = compiled_program(self.module, self.plan).function(fn)
-            current = cfn.entries.get(frame.block)
-        else:
-            decoded = decoded_program(self.module, self.plan).function(fn)
-            current = decoded.blocks.get(frame.block)
+        decoded = decoded_program(self.module, self.plan).function(fn)
+        current = decoded.blocks.get(frame.block)
         if current is None:
             raise InvalidOperation(
                 f"checkpoint block is no longer part of @{fn.name}"
@@ -194,75 +186,35 @@ class Interpreter:
         stats.total = checkpoint.stats_total
         stats.scalar = checkpoint.stats_scalar
         stats.vector = checkpoint.stats_vector
-        stats.by_opcode.clear()
-        if checkpoint.by_opcode is not None:
-            stats.by_opcode.update(checkpoint.by_opcode)
         if resume.on_restore is not None:
             resume.on_restore()
         # The checkpoint's register file is shared by every faulty run that
         # restores it; the appliers mutate vector registers in place, so
-        # each resume executes against its own depth-1 copy.
-        if self.compiled:
-            return self._exec_compiled_blocks(
-                cfn, copy_regs(frame.regs), current, frame.prev_block
-            )
+        # each resume executes against its own depth-1 copy.  A planned
+        # golden recorded it between chains, so it may hold packed vectors.
         return self._exec_blocks(
-            decoded, copy_regs(frame.regs), current, frame.prev_block
+            decoded,
+            copy_regs(frame.regs),
+            current,
+            frame.prev_block,
+            packed=self.plan is not None,
         )
 
-    def _exec_compiled_blocks(self, cfn, regs: dict, entry, prev_block):
-        """Drive compiled superblock chains (:mod:`repro.vm.compile`).
+    def _exec_blocks(self, decoded, regs: dict, current, prev_block, packed=False):
+        """The block loop.
 
-        Each dispatch runs the chain *starting* at ``entry`` (compiling it
-        on first entry) and returns an :class:`~repro.vm.compile._Edge`
-        (continue at its target), a 1-tuple (function return value), or
-        the fallback sentinel — the head block then executes through
-        :func:`exec_decoded_block`, whose planned decoded closures carry
-        injection, trap, and step-limit semantics bit-identically.  The
-        depth-1 block hook fires at chain heads, which is where
-        checkpoints and convergence checks attach.
+        A block with a compiled chain runs it: the chain returns an
+        :class:`~repro.vm.compile._Edge` (continue at its target), a 1-tuple
+        (the function's return value), or ``FALLBACK`` — the head block
+        then runs its decoded body here, whose planned closures carry
+        injection, trap, and exact step-limit semantics.  Chains may leave
+        vectors packed in ``regs`` (``packed``); the decoded body needs
+        canonical lists, so it unpacks them first.  The depth-1 block hook
+        fires at every block the loop enters, chain heads included, which
+        is where checkpoints and convergence checks attach.
         """
-        depth = self._depth
-        self._depth = depth + 1
-        hook = self.block_hook if depth == 0 else None
-        entries = cfn.entries
-        dfn = cfn.dfn
-        try:
-            # Batched chains evaluate whole-vector NumPy expressions whose
-            # scalar counterparts are silent on overflow/invalid/div-by-zero;
-            # suppress the warnings wholesale so semantics (and stderr) match.
-            with np.errstate(all="ignore"):
-                while True:
-                    if hook is not None:
-                        hook(self, dfn, regs, entry, prev_block)
-                        hook = self.block_hook  # hooks may uninstall themselves
-                    fn = entry.fn
-                    if fn is not None:
-                        r = fn(self, regs, prev_block)
-                        cls = r.__class__
-                        if cls is _Edge:
-                            entry = r.entry
-                            prev_block = r.prev
-                            continue
-                        if cls is tuple:
-                            return r[0]
-                        # FALLBACK: run this head block decoded, then rejoin.
-                    unpack_regs(regs)
-                    nxt, aux = exec_decoded_block(
-                        self, dfn, entry.dblock, regs, prev_block
-                    )
-                    if nxt is None:
-                        return aux
-                    entry = entries[nxt]
-                    prev_block = aux
-        finally:
-            self._depth = depth
-
-    def _exec_blocks(self, decoded, regs: dict, current, prev_block):
         stats = self.stats
         limit = self.step_limit
-        count_opcodes = self.count_opcodes
-        by_opcode = stats.by_opcode
         fn_name = decoded.name
         depth = self._depth
         self._depth = depth + 1
@@ -273,6 +225,21 @@ class Interpreter:
                 if hook is not None:
                     hook(self, decoded, regs, current, prev_block)
                     hook = self.block_hook  # hooks may uninstall themselves
+                chain = current.chain
+                if chain is not None:
+                    r = chain(self, regs, prev_block)
+                    cls = r.__class__
+                    if cls is _Edge:
+                        current = r.target
+                        prev_block = r.prev
+                        packed = True
+                        continue
+                    if cls is tuple:
+                        return r[0]
+                    packed = True  # FALLBACK: run this block decoded
+                if packed:
+                    unpack_regs(regs)
+                    packed = False
                 phis = current.phis
                 if phis:
                     # Phi nodes evaluate in parallel against the predecessor edge.
@@ -292,7 +259,7 @@ class Interpreter:
                 steps = current.steps
                 if steps is None:
                     steps = current.decode_steps()
-                for ex, isvec, opcode in steps:
+                for ex, isvec in steps:
                     stats.total += 1
                     if stats.total > limit:
                         raise StepLimitExceeded(
@@ -302,8 +269,6 @@ class Interpreter:
                         stats.vector += 1
                     else:
                         stats.scalar += 1
-                    if count_opcodes:
-                        by_opcode[opcode] += 1
                     ex(self, regs)
 
                 term = current.term
@@ -311,7 +276,7 @@ class Interpreter:
                     raise InvalidOperation(
                         f"@{fn_name}:{current.source.name}: fell off the end of a block"
                     )
-                tag, isvec, opcode, payload = term
+                tag, isvec, payload = term
                 stats.total += 1
                 if stats.total > limit:
                     raise StepLimitExceeded(
@@ -321,8 +286,6 @@ class Interpreter:
                     stats.vector += 1
                 else:
                     stats.scalar += 1
-                if count_opcodes:
-                    by_opcode[opcode] += 1
 
                 if tag == T_BR:
                     prev_block, current = current.source, payload

@@ -60,24 +60,18 @@ class Allocation:
 class Memory:
     """Flat simulated memory with bump allocation and bounds checking.
 
-    ``strict_alignment=True`` additionally requires natural alignment on
-    every typed scalar access and raises
-    :class:`~repro.errors.AlignmentFault` otherwise — modelling ISAs (or
-    aligned-move encodings like ``vmovaps``) where a bit-flipped address is
-    more likely to trap than on permissive x86 unaligned accesses.  The
-    default is x86-like: unaligned accesses succeed.
+    Accesses are x86-like: unaligned accesses succeed.
     """
 
-    def __init__(self, strict_alignment: bool = False):
+    def __init__(self):
         self._allocations: list[Allocation] = []
         self._bases: list[int] = []  # sorted, parallel to _allocations
         self._next = HEAP_BASE
         self.bytes_allocated = 0
-        self.strict_alignment = strict_alignment
         # Per-type specialised accessor closures (see _build_scalar_reader
         # etc.): IR types are frozen dataclasses, so structural keys work.
         # The closures capture the allocation lists (mutated in place, never
-        # rebound) and ``strict_alignment`` (fixed at construction).
+        # rebound).
         self._scalar_readers: dict = {}
         self._vector_readers: dict = {}
         self._vector_writers: dict = {}
@@ -89,14 +83,6 @@ class Memory:
         # indices; an allocation *absent* from the map post-dates the last
         # snapshot and is treated as fully dirty, so alloc() stays free.
         self._dirty: dict | None = None
-
-    def _check_alignment(self, addr: int, size: int) -> None:
-        if self.strict_alignment and size > 1 and addr % size != 0:
-            from ..errors import AlignmentFault
-
-            raise AlignmentFault(
-                f"misaligned {size}-byte access at {hex(addr)}"
-            )
 
     # -- allocation ------------------------------------------------------------
 
@@ -193,7 +179,6 @@ class Memory:
 
     def _read_scalar_generic(self, type: Type, addr: int):
         size = type.store_size()
-        self._check_alignment(addr, size)
         raw = self.read_bytes(addr, size)
         if isinstance(type, IntType):
             return wrap_int(int.from_bytes(raw, "little"), type.bits)
@@ -205,7 +190,7 @@ class Memory:
 
     def _build_scalar_reader(self, type: Type):
         code = self._struct_code(type)
-        if code is None or self.strict_alignment:
+        if code is None:
 
             def read(addr, _type=type):
                 return self._read_scalar_generic(_type, addr)
@@ -231,7 +216,6 @@ class Memory:
 
     def write_scalar(self, type: Type, addr: int, value) -> None:
         size = type.store_size()
-        self._check_alignment(addr, size)
         if isinstance(type, IntType):
             raw = to_unsigned(int(value), size * 8).to_bytes(size, "little")
         elif isinstance(type, FloatType):
@@ -273,7 +257,7 @@ class Memory:
 
     def _build_vector_reader(self, type: VectorType):
         code = self._struct_code(type.element)
-        if code is None or self.strict_alignment:
+        if code is None:
 
             def read(addr, _type=type):
                 return self._read_vector_generic(_type, addr)
@@ -320,7 +304,7 @@ class Memory:
     def _build_vector_writer(self, type: VectorType):
         elem = type.element
         code = self._struct_code(elem)
-        if code is None or self.strict_alignment:
+        if code is None:
 
             def write(addr, values, _type=type):
                 self._write_vector_generic(_type, addr, values)
@@ -401,9 +385,9 @@ class Memory:
 
     def _build_packed_reader(self, type: VectorType):
         dtype = np_dtype(type.element)
-        if dtype is None or self.strict_alignment:
-            # Unusual element types and strict-alignment checking go
-            # through the canonical lane path, packed afterwards.
+        if dtype is None:
+            # Unusual element types go through the canonical lane path,
+            # packed afterwards.
             def read(addr, _type=type):
                 return np.array(self._read_vector_generic(_type, addr))
 
@@ -476,7 +460,7 @@ class Memory:
 
     def _build_packed_writer(self, type: VectorType, quiet: bool):
         dtype = np_dtype(type.element)
-        if dtype is None or self.strict_alignment:
+        if dtype is None:
 
             def write(addr, array, _type=type):
                 self._write_vector_generic(_type, addr, array.tolist())

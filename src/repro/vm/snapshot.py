@@ -227,7 +227,6 @@ class Checkpoint:
     stats_total: int
     stats_scalar: int
     stats_vector: int
-    by_opcode: object  # Counter | None (None unless count_opcodes)
     frame: FrameState
     memory: MemoryImage
     index: int = -1  # position in the owning tape, set by record()

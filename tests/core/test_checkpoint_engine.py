@@ -20,6 +20,7 @@ policy constants (the ``policy`` fixture).
 import json
 from random import Random
 
+import numpy as np
 import pytest
 
 import repro.core.injector as injector_mod
@@ -28,6 +29,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.injector import DEFAULT_ENGINE
 from repro.frontend import compile_source
 from repro.store import CampaignStore, encode_result
+from repro.vm.decode import decoded_program
 from repro.workloads import all_workloads, get_workload, micro_workloads
 
 from .test_direct_engine import FLOAT_KERNEL, INT_KERNEL, float_runner, int_runner
@@ -250,6 +252,45 @@ class TestCheckpointBoundaries:
         assert result_signature(a) == result_signature(b)
         assert ck.checkpoint_stats["restores"] == before + 1
         assert tape.best_for(k) is cp
+
+    def test_resume_into_a_decoded_block_unpacks_registers(self, fixture):
+        """A chain may leave vectors packed in a checkpoint's register
+        file.  A resume whose first block runs decoded (a block with no
+        chain, like one that calls a defined function) must hand that
+        block canonical lane lists and stay bit-identical to the full
+        replay."""
+        runner, plain, g_plain, ck, g_ck = fixture
+        tape = g_ck.checkpoints
+        packed = [
+            cp
+            for cp in tape.checkpoints
+            if any(type(v) is np.ndarray for v in cp.frame.regs.values())
+        ]
+        assert packed, "no checkpoint holds a packed vector"
+        program = decoded_program(ck.module, ck._plan)
+        for cp in packed:
+            fn = ck.module.get_function(cp.frame.function_name)
+            block = program.function(fn).blocks[cp.frame.block]
+            steps = block.decode_steps()
+            first, isvec = steps[0]
+            seen = []
+
+            def spy(vm, regs):
+                seen.append(any(type(v) is np.ndarray for v in regs.values()))
+                first(vm, regs)
+
+            k = cp.dynamic_count + 1
+            assert tape.best_for(k) is cp
+            chain, block.chain = block.chain, None
+            block.steps = [(spy, isvec)] + steps[1:]
+            try:
+                b = ck.faulty(runner, g_ck, k, bit=3)
+            finally:
+                block.chain = chain
+                block.steps = steps
+            assert seen and not any(seen)
+            a = plain.faulty(runner, g_plain, k, bit=3)
+            assert result_signature(a) == result_signature(b)
 
     def test_early_k_replays_in_full(self, fixture):
         runner, plain, g_plain, ck, g_ck = fixture

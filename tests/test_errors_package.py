@@ -30,7 +30,6 @@ class TestTaxonomy:
         assert errors.MemoryFault("x").kind == "segfault"
         assert errors.ArithmeticTrap("x").kind == "sigfpe"
         assert errors.StepLimitExceeded("x").kind == "timeout"
-        assert errors.AlignmentFault("x").kind == "alignment"
         assert errors.InvalidOperation("x").kind == "invalid-op"
 
     def test_verification_error_carries_problems(self):

@@ -15,8 +15,7 @@ from repro.passes.dce import dead_code_elimination
 from repro.passes.manager import PassManager
 from repro.passes.mem2reg import promote_allocas
 from repro.vm import COMPILE_EVENTS, Interpreter
-from repro.vm.compile import compiled_program
-from repro.vm.decode import decoded_program
+from repro.vm.decode import InjectionPlan, decoded_program
 from repro.workloads import get_workload
 
 KERNEL = """
@@ -26,36 +25,54 @@ export void k(uniform int a[], uniform int b[], uniform int n) {
 """
 
 
-def run_kernel(module, n=9, seed=0, compiled=False):
+def run_kernel(module, n=9, seed=0, plan=None):
+    """Run ``KERNEL``: decoded only without a plan, as chains with one (a
+    site-free ``InjectionPlan()`` compiles a plain kernel's chains)."""
     data = np.random.default_rng(seed).integers(-50, 50, n).astype(np.int32)
-    vm = Interpreter(module, compiled=compiled)
+    vm = Interpreter(module, plan=plan)
     pa = vm.memory.store_array(I32, data, "a")
     pb = vm.memory.store_array(I32, np.zeros(n, dtype=np.int32), "b")
     vm.run("k", [pa, pb, n])
     return data, vm.memory.load_array(I32, pb, n), vm.stats
 
 
+def chains_of(module, plan):
+    """Every block's ``chain`` slot of every defined function."""
+    program = decoded_program(module, plan)
+    return [
+        block.chain
+        for fn in module.defined_functions()
+        for block in program.function(fn).blocks.values()
+    ]
+
+
 class TestCompileCache:
     def test_compiled_program_is_cached(self):
         module = compile_source(KERNEL, "avx")
-        assert compiled_program(module) is compiled_program(module)
+        plan = InjectionPlan()
+        program = decoded_program(module, plan)
+        assert decoded_program(module, plan) is program
+        run_kernel(module, plan=plan)
+        assert decoded_program(module, plan) is program
+        assert any(chain is not None for chain in chains_of(module, plan))
 
     def test_compilation_happens_once_per_version(self):
         module = compile_source(KERNEL, "avx")
-        run_kernel(module, compiled=True)
-        before = COMPILE_EVENTS["functions"]
+        plan = InjectionPlan()
+        run_kernel(module, plan=plan)
+        before = dict(COMPILE_EVENTS)
         # Fresh interpreters, same module version: the cache must serve
-        # every one of them without re-exec'ing a single function.
+        # every one of them without re-exec'ing a single chain.
         for seed in range(3):
-            run_kernel(module, seed=seed, compiled=True)
-        assert COMPILE_EVENTS["functions"] == before
+            run_kernel(module, seed=seed, plan=plan)
+        assert COMPILE_EVENTS == before
 
     def test_pass_pipeline_evicts_decoded_and_compiled(self):
         """An IR transformation must never leave stale code runnable.
 
         mem2reg + constfold + dce rewrite blocks in place, bumping
-        ``Module.version`` as they go; both the decoded program and the
-        compiled blocks key their caches on that version, so the next
+        ``Module.version`` as they go; the decoded program and the chains
+        on its blocks key their caches on that version, so the next
         execution after the pipeline re-decodes *and* re-compiles.  Stale
         compiled closures surviving a transformation would execute the
         pre-pass program silently — the worst kind of corruption.
@@ -64,10 +81,11 @@ class TestCompileCache:
         # promotions to perform (the default frontend output is already
         # optimized, which would make this test vacuous).
         module = compile_source(KERNEL, "avx", optimize_ir=False)
-        data, out, stats_before = run_kernel(module, compiled=True)
+        plan = InjectionPlan()
+        data, out, stats_before = run_kernel(module, plan=plan)
         assert np.array_equal(out, data - 4)
         decoded_before = decoded_program(module)
-        compiled_before = compiled_program(module)
+        planned_before = decoded_program(module, plan)
         version_before = module.version
 
         changed = PassManager(
@@ -77,9 +95,11 @@ class TestCompileCache:
         assert module.version > version_before
 
         assert decoded_program(module) is not decoded_before
-        assert compiled_program(module) is not compiled_before
+        assert decoded_program(module, plan) is not planned_before
         # Same observable semantics from the freshly compiled code.
-        data, out, stats_after = run_kernel(module, compiled=True)
+        chains_before = COMPILE_EVENTS["chains"]
+        data, out, stats_after = run_kernel(module, plan=plan)
+        assert COMPILE_EVENTS["chains"] > chains_before
         assert np.array_equal(out, data - 4)
         # The pipeline actually changed the program (fewer dynamic
         # instructions after mem2reg/dce), proving the re-run executed the
@@ -88,7 +108,8 @@ class TestCompileCache:
 
     def test_structural_edit_recompiles(self):
         module = compile_source(KERNEL, "avx")
-        data, out, _ = run_kernel(module, compiled=True)
+        plan = InjectionPlan()
+        data, out, _ = run_kernel(module, plan=plan)
         assert np.array_equal(out, data - 4)
 
         from repro.ir.instructions import InsertElement
@@ -103,30 +124,31 @@ class TestCompileCache:
                             instr.set_operand(1, ConstantInt(scalar.type, 5))
                             changed += 1
         assert changed > 0
-        data, out, _ = run_kernel(module, compiled=True)
+        data, out, _ = run_kernel(module, plan=plan)
         assert np.array_equal(out, data - 5)
 
     def test_plan_keyed_cache_evicts_on_version_bump(self):
-        # An injector's compiled program lives on its plan, not the module,
-        # and must still track the module version.
+        # An injector's chains live on its plan's decoded program, not the
+        # module's, and must still track the module version.
         module = compile_source(KERNEL, "avx", optimize_ir=False)
         injector = FaultInjector(module, engine="direct")
         injector.warm()
-        before = compiled_program(injector.module, injector._plan)
-        assert compiled_program(injector.module, injector._plan) is before
+        before = decoded_program(injector.module, injector._plan)
+        assert decoded_program(injector.module, injector._plan) is before
         changed = PassManager(
             [promote_allocas, constant_fold, dead_code_elimination]
         ).run(injector.module)
         assert changed
-        assert compiled_program(injector.module, injector._plan) is not before
+        assert decoded_program(injector.module, injector._plan) is not before
 
 
 class TestCompiledExecutionParity:
     def test_output_and_stats_match_interpreter(self):
         module = compile_source(KERNEL, "avx")
+        plan = InjectionPlan()
         for seed in range(3):
             data, out, stats = run_kernel(module, seed=seed)
-            cdata, cout, cstats = run_kernel(module, seed=seed, compiled=True)
+            cdata, cout, cstats = run_kernel(module, seed=seed, plan=plan)
             assert np.array_equal(data, cdata)
             assert np.array_equal(out, cout)
             assert (stats.total, stats.scalar, stats.vector) == (
@@ -134,6 +156,33 @@ class TestCompiledExecutionParity:
                 cstats.scalar,
                 cstats.vector,
             )
+        assert any(chain is not None for chain in chains_of(module, plan))
+
+
+class TestPlainRunsNeverCompile:
+    """Chains exist exactly when a plan is present: plain interpreter runs
+    and the instrumented oracle's goldens run decoded only."""
+
+    def test_plain_interpreter_run_compiles_nothing(self):
+        module = compile_source(KERNEL, "avx")
+        before = dict(COMPILE_EVENTS)
+        for seed in range(2):
+            data, out, _ = run_kernel(module, seed=seed)
+            assert np.array_equal(out, data - 4)
+        assert COMPILE_EVENTS == before
+        assert set(chains_of(module, None)) == {None}
+
+    def test_instrumented_golden_compiles_nothing(self):
+        workload = get_workload("vector_sum")
+        injector = FaultInjector(workload.compile("avx"), engine="instrumented")
+        runner = workload.build_runner(workload.sample_input(Random(3)))
+        before = dict(COMPILE_EVENTS)
+        injector.warm()
+        golden = injector.golden(runner)
+        injector.experiment(runner, Random(5), golden=golden)
+        assert COMPILE_EVENTS == before
+        assert injector._plan is None
+        assert set(chains_of(injector.module, None)) == {None}
 
 
 class TestLazyChains:
@@ -145,10 +194,9 @@ class TestLazyChains:
         before = COMPILE_EVENTS["chains"]
         injector.warm()
         assert COMPILE_EVENTS["chains"] == before
-        entries = compiled_program(module, injector._plan).function(
-            module.get_function("k")
-        ).entries
-        assert entries, "warm() builds the entry table"
+        assert any(
+            chain is not None for chain in chains_of(module, injector._plan)
+        ), "warm() installs the chain stubs"
 
     def test_repeated_run_compiles_no_chain(self):
         workload = get_workload("vector_sum")
@@ -163,11 +211,12 @@ class TestLazyChains:
 
     def test_chain_never_entered_is_never_compiled(self):
         module = compile_source(KERNEL, "avx")
+        plan = InjectionPlan()
         before = COMPILE_EVENTS["chains"]
         # n = 0: the foreach body is never entered, so its chains stay stubs.
-        Interpreter(module, compiled=True).run("k", [0, 0, 0])
+        Interpreter(module, plan=plan).run("k", [0, 0, 0])
         cold = COMPILE_EVENTS["chains"] - before
-        run_kernel(module, compiled=True)
+        run_kernel(module, plan=plan)
         assert COMPILE_EVENTS["chains"] - before > cold > 0
 
 
@@ -220,8 +269,8 @@ class TestUnroundedF32Arguments:
         a = np.array([h, 0.1, h, 0.5, h, -0.2, h, 0.3, h], dtype=np.float32)
         n = len(a)
 
-        def run(compiled):
-            vm = Interpreter(module, compiled=compiled)
+        def run(plan):
+            vm = Interpreter(module, plan=plan)
             pa = vm.memory.store_array(F32, a, "a")
             outs = [
                 vm.memory.store_array(ty, np.zeros(n, dtype=dt), f"o{j}")
@@ -236,7 +285,7 @@ class TestUnroundedF32Arguments:
             ] + [vm.memory.load_array(I32, outs[3], n).tobytes()]
             return data, (vm.stats.total, vm.stats.scalar, vm.stats.vector)
 
-        assert run(compiled=True) == run(compiled=False)
+        assert run(InjectionPlan()) == run(None)
 
     @pytest.mark.parametrize("target", ["avx", "sse"])
     @pytest.mark.parametrize("n", [9, 3])
@@ -248,12 +297,12 @@ class TestUnroundedF32Arguments:
         h = 0.35
         a = np.array([0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, h], dtype=np.float32)
 
-        def run(compiled):
-            vm = Interpreter(module, compiled=compiled)
+        def run(plan):
+            vm = Interpreter(module, plan=plan)
             pa = vm.memory.store_array(F32, a, "a")
             po = vm.memory.store_array(F32, np.zeros(n, dtype=np.float32), "o")
             vm.run("k", [pa, po, h, n])
             out = struct.pack(f"<{n}f", *vm.memory.load_array(F32, po, n))
             return out, (vm.stats.total, vm.stats.scalar, vm.stats.vector)
 
-        assert run(compiled=True) == run(compiled=False)
+        assert run(InjectionPlan()) == run(None)

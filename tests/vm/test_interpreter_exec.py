@@ -332,31 +332,3 @@ entry:
         vm.run("f", [[1, 2, 3, 4]])
         assert vm.stats.vector == 2  # the vector add and the vector ret
         assert vm.stats.scalar == 1
-
-    def test_opcode_histogram(self):
-        m = build_axpy()
-        vm = Interpreter(m, count_opcodes=True)
-        x = vm.memory.store_array(F32, np.zeros(3, dtype=np.float32))
-        y = vm.memory.store_array(F32, np.zeros(3, dtype=np.float32))
-        vm.run("axpy", [x, y, 1.0, 3])
-        assert vm.stats.by_opcode["store"] == 3
-        assert vm.stats.by_opcode["getelementptr"] == 6
-
-
-class TestStrictAlignmentMode:
-    def test_interpreter_forwards_flag(self):
-        text = """\
-define i32 @f(i32* %p) {
-entry:
-  %v = load i32, i32* %p
-  ret i32 %v
-}
-"""
-        from repro.errors import AlignmentFault
-
-        m = parse_module(text)
-        vm = Interpreter(m, strict_alignment=True)
-        a = vm.memory.store_array(I32, np.array([5, 6], dtype=np.int32))
-        assert vm.run("f", [a]) == 5
-        with pytest.raises(AlignmentFault):
-            vm.run("f", [a + 2])

@@ -16,7 +16,6 @@ def _checkpoint(invocation: int, count: int) -> Checkpoint:
         stats_total=0,
         stats_scalar=0,
         stats_vector=0,
-        by_opcode=None,
         frame=FrameState("f", None, None, {}),
         memory=None,
     )
