@@ -285,6 +285,53 @@ def test_shard_scaling():
     assert scaling >= 2.5, f"4 shards only {scaling:.2f}x 1 shard"
 
 
+def test_noop_resume_beats_recording():
+    """Resuming a complete 200-experiment fig12 micro cell is >= 5x faster
+    than recording it: each stored position is redrawn from its journal
+    record, with neither a golden nor a faulty run.  Each side runs on a
+    fresh warmed injector, as a new process would, and keeps its fastest
+    of three; every resume replays all 200 records and leaves the journal
+    as it was."""
+    from repro.experiments import fig12
+    from repro.store import CampaignStore
+
+    workload = get_workload("vector_sum")
+    experiments = 200
+
+    def timed_cell(store):
+        injector = fig12.cell_injector(workload, "control")
+        injector.warm()
+        recorder = fig12.cell_recorder(
+            store, workload, "control", experiments, "bench", injector
+        )
+        gc.collect()
+        t0 = time.perf_counter()
+        fig12.run_cell(
+            workload, "control", experiments, injector=injector,
+            recorder=recorder,
+        )
+        return time.perf_counter() - t0, recorder
+
+    record_s = resume_s = float("inf")
+    with tempfile.TemporaryDirectory(prefix="speed_resume.") as tmp:
+        for sweep in range(3):
+            root = Path(tmp) / f"cell{sweep}"
+            with CampaignStore(root) as store:
+                seconds, recorder = timed_cell(store)
+            record_s = min(record_s, seconds)
+            assert recorder.misses == experiments
+            journal = (root / "journal.jsonl").read_bytes()
+            with CampaignStore(root) as store:
+                seconds, recorder = timed_cell(store)
+            resume_s = min(resume_s, seconds)
+            assert (recorder.hits, recorder.misses) == (experiments, 0)
+            assert (root / "journal.jsonl").read_bytes() == journal
+    ratio = record_s / resume_s
+    print(f"no-op resume: {ratio:.2f}x recording "
+          f"({record_s * 1e3:.0f}ms vs {resume_s * 1e3:.0f}ms)")
+    assert ratio >= 5.0, f"no-op resume only {ratio:.2f}x recording"
+
+
 def _service_submissions(count: int) -> list[dict]:
     """Distinct micro-workload campaigns (unique seeds: no cache hits)."""
     names = ("vcopy", "dot_product", "vector_sum")

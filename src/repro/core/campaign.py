@@ -168,6 +168,9 @@ class _Storeless:
     def will_execute(self, shard):
         return True
 
+    def redraw(self, rng, params, shard=None):
+        return None
+
     def claim(self, k, bit, params, shard=None):
         return None, None
 
@@ -186,7 +189,7 @@ class _Draw:
     """One drawn schedule position, as the consumers see it."""
 
     runner: Runner
-    golden: GoldenRun
+    golden: GoldenRun | None  # None for a position redrawn from its record
     k: int
     bit: int
     params: dict | None
@@ -203,21 +206,29 @@ def _draw_schedule(
 
     Every position is drawn, claimed and looked up in the store here, in
     the parent, whether its faulty run then executes inline or in a pool
-    worker.  A shard run draws *every* position — the schedule is one RNG
-    stream, so skipping a draw would shift every later shard's triples —
-    but yields only the positions its stripe owns.  Drawing a position
-    costs no input arrays (registry runners build them on their first
-    call) and no key hash (the recorder claims only owned positions).
-    Only draws whose faulty run will execute ``inline`` may record a
-    checkpoint tape.
+    worker.  A position the store already holds is redrawn from its
+    record, with no golden run; the recorder checks that the redraw
+    reproduces the record and otherwise leaves the RNG stream untouched
+    for the golden draw.  A shard run draws *every* position — the
+    schedule is one RNG stream, so skipping a draw would shift every
+    later shard's triples — but yields only the positions its stripe
+    owns.  Drawing a position costs no input arrays (registry runners
+    build them on their first call) and no key hash (the recorder claims
+    only owned positions).  Only draws whose faulty run will execute
+    ``inline`` may record a checkpoint tape.
     """
     for _ in range(count):
         runner = runner_factory(rng)
+        params = getattr(runner, "params", None)
+        held = recorder.redraw(rng, params, shard)
+        if held is not None:
+            key, seq, k, bit = held
+            yield _Draw(runner, None, k, bit, params, key, seq, recorder.replay(key))
+            continue
         record_tape = inline and recorder.will_execute(shard)
         golden, k, bit = draw_experiment(
             injector, runner, rng, bindings_factory, record_tape
         )
-        params = getattr(runner, "params", None)
         claimed = recorder.claim(k, bit, params, shard)
         if claimed is None:  # another stripe's position
             continue

@@ -43,6 +43,16 @@ API = {
 ENTRY_INDEX = {name: index for index, name in enumerate(API)}
 
 
+def type_name_of(api_name: str) -> str:
+    """An entry point's :attr:`InjectionRecord.type_name` (``"Int64"``...)."""
+    return api_name.replace("injectFault", "").replace("Ty", "")
+
+
+#: :attr:`InjectionRecord.type_name` -> the injected site's bit width, so a
+#: stored record tells which width its bit was drawn from.
+TYPE_WIDTHS = {type_name_of(name): bits for name, (_ty, bits, _isf) in API.items()}
+
+
 def api_name_for(scalar_type) -> str:
     """Runtime entry point for a scalar IR type (pointers go via i64)."""
     if scalar_type.is_pointer():
@@ -256,7 +266,7 @@ class FaultRuntime:
 
     def bindings(self) -> dict:
         return {
-            name: self._entry(bits, is_float, name.replace("injectFault", "").replace("Ty", ""))
+            name: self._entry(bits, is_float, type_name_of(name))
             for name, (_ty, bits, is_float) in API.items()
         }
 
@@ -268,7 +278,7 @@ class FaultRuntime:
         name lookup and the interpreted call instruction.
         """
         return tuple(
-            self._entry(bits, is_float, name.replace("injectFault", "").replace("Ty", ""))
+            self._entry(bits, is_float, type_name_of(name))
             for name, (_ty, bits, is_float) in API.items()
         )
 

@@ -13,7 +13,7 @@ pieces here keep that path warm and observable:
   with the same spec are running the same module, bit for bit.
 * :class:`StreamingRecorder` wraps the store's
   :class:`~repro.store.recorder.CampaignRecorder`, forwarding the
-  claim/replay/record protocol unchanged (journal bytes are untouched)
+  redraw/claim/replay/record protocol unchanged (journal bytes are untouched)
   while emitting progress events — done counts, recorder hit/miss,
   outcome totals — to a callback the daemon fans out over SSE.
 * :func:`execute_submission` ties it together: acquire engine, open the
@@ -111,6 +111,9 @@ class StreamingRecorder:
 
     def will_execute(self, shard):
         return self._recorder.will_execute(shard)
+
+    def redraw(self, rng, params, shard=None):
+        return self._recorder.redraw(rng, params, shard)
 
     def claim(self, k, bit, params, shard=None):
         return self._recorder.claim(k, bit, params, shard)

@@ -1,16 +1,18 @@
 """Per-campaign recording/replay façade the campaign driver talks to.
 
 One :class:`CampaignRecorder` follows one campaign cell's schedule in
-order: the driver *claims* a key for each drawn experiment, *replays* it
-from the store when the key is already present (a hit — the faulty run is
-skipped entirely), and otherwise executes it and *records* the bit-exact
-result.  The hit/miss counters mirror :class:`~repro.core.injector.
+order: the driver *redraws* a position the store already holds from its
+record (no golden run), or draws it with a golden run and *claims* a key
+for it; it *replays* a stored key (a hit — the faulty run is skipped
+entirely), and otherwise executes it and *records* the bit-exact result.
+The hit/miss counters mirror :class:`~repro.core.injector.
 GoldenCache`'s naming so campaign summaries, ``status`` output, and
 benchmark reports share one accounting vocabulary.
 """
 
 from __future__ import annotations
 
+from ..core.runtime import TYPE_WIDTHS
 from ..errors import ReproError
 from .keys import experiment_key
 from .records import decode_result, encode_result
@@ -43,7 +45,7 @@ class CampaignRecorder:
         """Is the next position this stripe's and not yet stored?"""
         seq = self._seq
         owned = shard is None or shard.owns(seq)
-        return owned and not self.store.holds_position(self.campaign_key, seq)
+        return owned and self.store.experiment_at(self.campaign_key, seq) is None
 
     def claim(
         self, k: int, bit: int, params, shard=None
@@ -56,6 +58,41 @@ class CampaignRecorder:
         if shard is not None and not shard.owns(seq):
             return None
         return experiment_key(self.campaign_key, seq, k, bit, params), seq
+
+    def redraw(self, rng, params, shard=None) -> tuple[str, int, int, int] | None:
+        """Claim the next position from its stored record, with no golden run.
+
+        A stored result holds both values the schedule's draw takes from
+        the golden: its dynamic-site count N and the type, hence the width,
+        of the site it hit.  The redraw checks itself: its ``k``, ``bit``
+        and content key must equal the record's.  Returns ``(key, seq, k,
+        bit)``, the position claimed; or ``None`` with ``rng`` and the
+        position untouched — another stripe's position, nothing stored, or
+        a record that disagrees — and the caller draws with a golden run.
+        """
+        seq = self._seq
+        if shard is not None and not shard.owns(seq):
+            return None
+        record = self.store.experiment_at(self.campaign_key, seq)
+        if record is None:
+            return None
+        result = record["result"]
+        injection = result["injection"]
+        width = TYPE_WIDTHS.get(injection["type_name"]) if injection else None
+        if width is None or result["dynamic_sites"] < 1:
+            return None
+        state = rng.getstate()
+        # core.parallel.draw_experiment's two draws, from the record's values.
+        k = rng.randint(1, result["dynamic_sites"])
+        bit = rng.randrange(width)
+        key = record["key"]
+        if (k, bit) != (record["k"], record["bit"]) or key != experiment_key(
+            self.campaign_key, seq, k, bit, params
+        ):
+            rng.setstate(state)
+            return None
+        self._seq += 1
+        return key, seq, k, bit
 
     def replay(self, key: str):
         """The stored result for ``key``, or ``None`` if it must execute."""

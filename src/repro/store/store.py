@@ -283,9 +283,10 @@ class CampaignStore:
             by_seq = dict(self._by_campaign.get(campaign_key, {}))
         return [by_seq[seq] for seq in sorted(by_seq)]
 
-    def holds_position(self, campaign_key: str, seq: int) -> bool:
+    def experiment_at(self, campaign_key: str, seq: int) -> dict | None:
+        """The experiment record stored at a campaign's schedule position."""
         with self._index_lock:
-            return seq in self._by_campaign.get(campaign_key, ())
+            return self._by_campaign.get(campaign_key, {}).get(seq)
 
     def experiment_count(self, campaign_key: str) -> int:
         with self._index_lock:

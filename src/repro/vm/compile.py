@@ -97,7 +97,7 @@ from ..ir.instructions import (
     ShuffleVector,
     Store,
 )
-from ..ir.intrinsics import MASK_I1, MASK_SIGN, get_intrinsic, is_intrinsic_name
+from ..ir.intrinsics import MASK_SIGN, get_intrinsic, is_intrinsic_name
 from ..ir.module import Function
 from ..ir.types import FloatType, IntType, PointerType, VectorType
 from . import ops

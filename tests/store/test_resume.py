@@ -3,6 +3,8 @@ byte-identical to one that never crashed — across both engines,
 serial and ``--jobs 2``, and the rebuilt report never executes anything."""
 
 import json
+import shutil
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,8 @@ from repro.core import (
     run_campaigns,
 )
 from repro.experiments.common import campaign_worker_context
-from repro.store import CampaignAborted, CampaignStore, TornTailWarning
+from repro.store import CampaignAborted, CampaignStore, ShardSpec, TornTailWarning
+from repro.store.journal import frame, parse_frame
 from repro.workloads import get_workload
 
 #: 2 campaigns x 6 experiments, no early convergence.
@@ -47,7 +50,7 @@ def _recorder(store, injector, **kwargs):
     )
 
 
-def _run(store, engine, jobs=1, abort_after=None):
+def _run(store, engine, jobs=1, abort_after=None, shard=None):
     w = get_workload("vcopy")
     injector = _injector(engine)
     recorder = _recorder(store, injector, abort_after=abort_after)
@@ -55,7 +58,7 @@ def _run(store, engine, jobs=1, abort_after=None):
     def run(pool=None):
         return run_campaigns(
             injector, w.runner_factory(), _CONFIG, seed=_SEED, pool=pool,
-            recorder=recorder,
+            recorder=recorder, shard=shard,
         )
 
     if jobs == 1:
@@ -63,6 +66,35 @@ def _run(store, engine, jobs=1, abort_after=None):
     context = campaign_worker_context(injector, w)
     with ExperimentPool(jobs, {"cell": context}) as pool:
         return run(pool.cell("cell"))
+
+
+@pytest.fixture
+def goldens(monkeypatch):
+    """Counts this process's schedule draws that took a golden run
+    (``"drawn"``: cache hits included) and the goldens actually executed
+    (``"run"``)."""
+    calls = Counter()
+    cached_golden = FaultInjector.cached_golden
+    golden = FaultInjector.golden
+
+    def counted_cached(self, *args, **kwargs):
+        calls["drawn"] += 1
+        return cached_golden(self, *args, **kwargs)
+
+    def counted_golden(self, *args, **kwargs):
+        calls["run"] += 1
+        return golden(self, *args, **kwargs)
+
+    monkeypatch.setattr(FaultInjector, "cached_golden", counted_cached)
+    monkeypatch.setattr(FaultInjector, "golden", counted_golden)
+    return calls
+
+
+def _store_bytes(root):
+    return {
+        name: (root / name).read_bytes()
+        for name in ("journal.jsonl", "manifests.jsonl")
+    }
 
 
 def _journal_records(store):
@@ -158,3 +190,126 @@ def test_rebuild_report_never_executes(tmp_path, monkeypatch):
     assert rebuilt.headers == live.headers
     assert json.dumps(rebuilt.rows) == json.dumps(live.rows)
     store.close()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_noop_resume_runs_no_golden(tmp_path, engine, jobs, goldens):
+    """Every position of a complete store is redrawn from its record."""
+    with CampaignStore(tmp_path / "s") as store:
+        baseline = _run(store, engine)
+    before = _store_bytes(tmp_path / "s")
+    goldens.clear()
+
+    with CampaignStore(tmp_path / "s") as store:
+        resumed = _run(store, engine, jobs=jobs)
+    assert goldens == {}
+    assert resumed.store == {"hits": 12, "misses": 0, "recorded": 12}
+    assert resumed.campaigns == baseline.campaigns
+    assert _store_bytes(tmp_path / "s") == before
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_aborted_resume_draws_goldens_only_for_missing_positions(
+    tmp_path, engine, jobs, goldens
+):
+    with CampaignStore(tmp_path / "clean") as clean:
+        _run(clean, engine)
+    crashed = CampaignStore(tmp_path / "crashed")
+    with pytest.raises(CampaignAborted):
+        _run(crashed, engine, abort_after=5)
+    crashed.close()
+    goldens.clear()
+
+    with CampaignStore(tmp_path / "crashed") as store:
+        resumed = _run(store, engine, jobs=jobs)
+    # Positions 0-4 are held; only the 7 the crash lost draw a golden.
+    assert goldens["drawn"] == 7
+    assert resumed.store == {"hits": 5, "misses": 7, "recorded": 12}
+    assert _store_bytes(tmp_path / "crashed") == _store_bytes(tmp_path / "clean")
+
+
+def test_stripe_resume_draws_goldens_only_for_unowned_positions(
+    tmp_path, goldens
+):
+    """A stripe store holds only its own positions, so a no-op resume
+    still draws every other stripe's position through a golden run."""
+    shard = ShardSpec(0, 2)
+    with CampaignStore(tmp_path / "s") as store:
+        store.set_shard(shard)
+        _run(store, "direct", shard=shard)
+    before = _store_bytes(tmp_path / "s")
+    goldens.clear()
+
+    with CampaignStore(tmp_path / "s") as store:
+        resumed = _run(store, "direct", shard=shard)
+    assert goldens["drawn"] == 6
+    assert resumed.store == {"hits": 6, "misses": 0, "recorded": 6}
+    assert _store_bytes(tmp_path / "s") == before
+
+
+def test_record_that_disagrees_with_its_redraw_takes_the_golden_path(
+    tmp_path, goldens
+):
+    """An edited N redraws a different k: the position rewinds the RNG
+    and draws with a golden, whose key still finds the (edited) record —
+    so it replays, and every later position still redraws."""
+    with CampaignStore(tmp_path / "clean") as store:
+        baseline = _run(store, "direct")
+    shutil.copytree(tmp_path / "clean", tmp_path / "edited")
+    journal = tmp_path / "edited" / "journal.jsonl"
+    records = [parse_frame(line) for line in journal.read_bytes().splitlines()]
+    seq = next(r["seq"] for r in records if r["k"] > 1)
+    # randint(1, k - 1) can never redraw k.
+    records[seq]["result"]["dynamic_sites"] = records[seq]["k"] - 1
+    journal.write_bytes(b"".join(frame(r) for r in records))
+    edited = _store_bytes(tmp_path / "edited")
+    goldens.clear()
+
+    with CampaignStore(tmp_path / "edited") as store:
+        resumed = _run(store, "direct")
+    assert goldens["drawn"] == 1
+    assert resumed.store == {"hits": 12, "misses": 0, "recorded": 12}
+    assert resumed.campaigns == baseline.campaigns
+    assert _store_bytes(tmp_path / "edited") == edited
+
+
+def test_service_resume_counts_held_positions_as_hits(tmp_path, goldens):
+    """A service campaign over a store holding its first positions redraws
+    them through ``StreamingRecorder`` and reports them as hits."""
+    from repro.service.protocol import normalize_submission
+    from repro.service.workers import EngineCache, execute_submission
+
+    sub = normalize_submission(
+        {"workload": "vcopy", "category": "pure-data", "scale": "smoke"}
+    )
+    with CampaignStore(tmp_path / "clean") as store:
+        execute_submission(store, sub, None, EngineCache(), lambda event: None)
+    clean = _store_bytes(tmp_path / "clean")
+    total = len(clean["journal.jsonl"].splitlines())
+
+    # What a crash after five experiments leaves: the accept-time manifest
+    # and the first five records.
+    held = 5
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    (partial / "STORE").write_bytes((tmp_path / "clean" / "STORE").read_bytes())
+    (partial / "journal.jsonl").write_bytes(
+        b"".join(clean["journal.jsonl"].splitlines(True)[:held])
+    )
+    (partial / "manifests.jsonl").write_bytes(
+        clean["manifests.jsonl"].splitlines(True)[0]
+    )
+    goldens.clear()
+
+    events = []
+    with CampaignStore(partial) as store:
+        execute_submission(store, sub, None, EngineCache(), events.append)
+    assert goldens["drawn"] == total - held
+    final = events[-1]
+    assert final["event"] == "complete"
+    assert (final["hits"], final["misses"], final["done"]) == (
+        held, total - held, total
+    )
+    assert _store_bytes(partial) == clean

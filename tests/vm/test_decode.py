@@ -1,7 +1,6 @@
 """The pre-decoded interpreter fast path: constants, caching, invalidation."""
 
 import numpy as np
-import pytest
 
 from repro.frontend import compile_source
 from repro.ir.types import F32, F64, I1, I32, I64, PointerType, VectorType

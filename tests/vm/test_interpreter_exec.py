@@ -11,7 +11,6 @@ from repro.errors import (
     StepLimitExceeded,
 )
 from repro.ir import (
-    ConstantFloat,
     I8,
     ConstantVector,
     F32,
@@ -22,11 +21,9 @@ from repro.ir import (
     Module,
     VOID,
     const_float,
-    const_int,
     declare_intrinsic,
     parse_module,
     pointer,
-    splat,
     vector,
     zeroinitializer,
 )
