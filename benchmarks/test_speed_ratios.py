@@ -332,6 +332,48 @@ def test_noop_resume_beats_recording():
     assert ratio >= 5.0, f"no-op resume only {ratio:.2f}x recording"
 
 
+def _foreach_kernel(loops: int) -> str:
+    """A MiniISPC kernel of ``loops`` sequential ``foreach`` loops."""
+    body = "\n".join(
+        f"    foreach (i = 0 ... n) {{ b[i] = b[i] + a[i] * {j + 1}.0; }}"
+        for j in range(loops)
+    )
+    return (
+        "export void k(uniform float a[], uniform float b[], uniform int n) {\n"
+        f"{body}\n}}\n"
+    )
+
+
+def test_setup_scales_linearly():
+    """Set-up is linear in the program: compiling a kernel of 48
+    ``foreach`` loops and building a control-site injector for it costs
+    <= 3x the same for 24 loops (twice the sites).  Frontend, passes,
+    verifier and site classification all count.  The two sizes alternate
+    over five rounds and each keeps its fastest, so a slow stretch of the
+    host cannot inflate one side alone."""
+    from repro.frontend import compile_source
+
+    def setup(source: str) -> tuple[float, int]:
+        gc.collect()
+        t0 = time.perf_counter()
+        injector = FaultInjector(compile_source(source, "avx"), category="control")
+        return time.perf_counter() - t0, len(injector.sites)
+
+    setup(_foreach_kernel(4))  # warm-up: first-use imports and caches
+    sizes = {24: _foreach_kernel(24), 48: _foreach_kernel(48)}
+    best = {loops: float("inf") for loops in sizes}
+    sites = {}
+    for _ in range(5):
+        for loops, source in sizes.items():
+            seconds, sites[loops] = setup(source)
+            best[loops] = min(best[loops], seconds)
+    assert sites[48] == 2 * sites[24]
+    ratio = best[48] / best[24]
+    print(f"set-up: 48 loops {best[48] * 1e3:.0f}ms = {ratio:.2f}x 24 loops "
+          f"({best[24] * 1e3:.0f}ms)")
+    assert ratio <= 3.0, f"set-up at 48 loops is {ratio:.2f}x that at 24"
+
+
 def _service_submissions(count: int) -> list[dict]:
     """Distinct micro-workload campaigns (unique seeds: no cache hits)."""
     names = ("vcopy", "dot_product", "vector_sum")

@@ -24,7 +24,9 @@ an address computation or a branch directly.
 
 from __future__ import annotations
 
-from ..ir.dataflow import slice_contains
+from typing import Iterable
+
+from ..ir.dataflow import forward_slice
 from ..ir.instructions import GetElementPtr, Instruction
 
 PURE_DATA = "pure-data"
@@ -34,13 +36,70 @@ ADDRESS = "address"
 _PURE_DATA_ONLY = frozenset({PURE_DATA})
 
 
+class SliceReach:
+    """Which values' forward slices hold a classifying instruction.
+
+    ``address`` and ``control`` are the ids of the values whose slice
+    holds a non-detector ``getelementptr``, respectively a non-detector
+    control-flow instruction.  One backward pass over the def-use edges
+    of ``instructions`` (which must include every user of every member)
+    finds each set: a value's slice holds a target iff one of its users
+    is a target or is itself a value (has an Lvalue) whose slice holds
+    one.  Linear in the number of operands, where a
+    :func:`~repro.ir.dataflow.slice_contains` per value is quadratic.
+    """
+
+    __slots__ = ("address", "control")
+
+    def __init__(self, instructions: Iterable[Instruction]):
+        geps: list[Instruction] = []
+        branches: list[Instruction] = []
+        for instr in instructions:
+            # Detector plumbing (inserted condbr/gep of checker code) must
+            # not reclassify application values: the categories describe
+            # the program under study, not the instrumentation around it.
+            if instr.meta.get("detector"):
+                continue
+            if isinstance(instr, GetElementPtr):
+                geps.append(instr)
+            elif instr.is_control_flow:
+                branches.append(instr)
+        self.address = _reaching(geps)
+        self.control = _reaching(branches)
+
+    @classmethod
+    def of(cls, instr: Instruction) -> "SliceReach":
+        """The reach over ``instr``'s function, or over its own forward
+        slice when it sits in no function."""
+        fn = instr.function
+        return cls(fn.instructions() if fn is not None else [instr, *forward_slice(instr)])
+
+
+def _reaching(targets: list[Instruction]) -> set[int]:
+    """ids of the values from which some target is a def-use path away."""
+    reach: set[int] = set()
+    work = targets
+    while work:
+        user = work.pop()
+        for value in user.operands:
+            if id(value) in reach:
+                continue
+            reach.add(id(value))
+            # The slice continues through a user only via its own result.
+            if isinstance(value, Instruction) and value.has_lvalue():
+                work.append(value)
+    return reach
+
+
 def classify_instruction(
-    instr: Instruction, as_store_value: bool = False
+    instr: Instruction, as_store_value: bool = False, reach: SliceReach | None = None
 ) -> frozenset[str]:
     """Category membership of the fault site anchored at ``instr``.
 
     Returns ``{'pure-data'}`` or a non-empty subset of
     ``{'control', 'address'}`` (Fig. 2: pure-data excludes the others).
+    ``reach`` is the :class:`SliceReach` of ``instr``'s function, when the
+    caller classifies many instructions of one function.
     """
     if as_store_value:
         return _PURE_DATA_ONLY
@@ -49,6 +108,8 @@ def classify_instruction(
     if cached is not None:
         return cached
 
+    if reach is None:
+        reach = SliceReach.of(instr)
     cats: set[str] = set()
     if isinstance(instr, GetElementPtr) or instr.is_control_flow:
         # The slice includes the instruction itself.
@@ -58,17 +119,9 @@ def classify_instruction(
         # gather addresses) *is* an address: flipping it produces a wild
         # access even though no further getelementptr appears downstream.
         cats.add(ADDRESS)
-    # Detector plumbing (inserted condbr/gep of checker code) must not
-    # reclassify application values: the categories describe the program
-    # under study, not the instrumentation around it.
-    if slice_contains(
-        instr,
-        lambda u: isinstance(u, GetElementPtr) and not u.meta.get("detector"),
-    ):
+    if id(instr) in reach.address:
         cats.add(ADDRESS)
-    if slice_contains(
-        instr, lambda u: u.is_control_flow and not u.meta.get("detector")
-    ):
+    if id(instr) in reach.control:
         cats.add(CONTROL)
     if not cats:
         cats.add(PURE_DATA)

@@ -122,9 +122,14 @@ def run_sharded(
     parent.mkdir(parents=True, exist_ok=True)
     ctx = multiprocessing.get_context("fork")
     # Every shard draws its inputs through numpy.random (imported lazily by
-    # numpy): import it once here, so the forked shards inherit it instead
-    # of each paying the import.
+    # numpy) and pins the registry fingerprint in its store's manifests
+    # (which loads the generated workload family on first use): do both
+    # once here, so the forked shards inherit them instead of each paying.
     import numpy.random  # noqa: F401
+
+    from ..workloads.registry import registry_fingerprint
+
+    registry_fingerprint()
 
     outcomes: dict[int, ShardOutcome] = {}
 

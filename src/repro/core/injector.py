@@ -59,7 +59,7 @@ from .direct import build_injection_plan
 from .instrument import instrument_module
 from .outcomes import ExperimentResult, Outcome, outputs_equal
 from .runtime import FaultRuntime, MODE_COUNT, MODE_INJECT
-from .sites import StaticSite, enumerate_module_sites, filter_sites
+from .sites import StaticSite, module_sites
 
 #: Execution engines implementing the two-execution protocol.
 ENGINES = ("direct", "instrumented")
@@ -256,9 +256,7 @@ class FaultInjector:
         self._last_golden = None
 
     def _enumerate(self, module: Module) -> list[StaticSite]:
-        sites = filter_sites(
-            enumerate_module_sites(module, self.functions), self.category
-        )
+        sites = module_sites(module, self.category, self.functions)
         if not sites:
             raise InjectionError(
                 f"no fault sites in category {self.category!r}"

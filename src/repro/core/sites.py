@@ -29,7 +29,7 @@ from ..ir.instructions import Alloca, Call, Instruction, Phi, Store
 from ..ir.intrinsics import IntrinsicInfo, intrinsic_info_for_call
 from ..ir.module import Function, Module
 from ..ir.types import Type
-from .classify import classify_instruction
+from .classify import SliceReach, classify_instruction
 
 #: Site category names, as in the paper.
 PURE_DATA = "pure-data"
@@ -103,11 +103,14 @@ def _expand(
     return [StaticSite(instr, None, value_type, categories, operand_index, mask)]
 
 
-def enumerate_sites(fn: Function) -> list[StaticSite]:
-    """All static fault sites of a function, in program order."""
-    from ..ir.intrinsics import MASK_I1
+#: One instrumentable register: the :func:`_expand` arguments of its sites.
+_Target = tuple[Instruction, Type, frozenset, "int | None", "MaskSpec | None"]
 
-    sites: list[StaticSite] = []
+
+def _targets(fn: Function) -> list[_Target]:
+    """The instrumentable registers of a function, in program order."""
+    reach = SliceReach(fn.instructions())
+    targets: list[_Target] = []
     for instr in fn.instructions():
         if _is_excluded(instr):
             continue
@@ -121,7 +124,7 @@ def enumerate_sites(fn: Function) -> list[StaticSite]:
             vt = instr.value.type
             if vt.is_first_class():
                 cats = classify_instruction(instr, as_store_value=True)
-                sites.extend(_expand(instr, vt, cats, 0, None))
+                targets.append((instr, vt, cats, 0, None))
             continue
         if info is not None and info.stored_value_index is not None:
             vt = info.function_type.params[info.stored_value_index]
@@ -131,38 +134,82 @@ def enumerate_sites(fn: Function) -> list[StaticSite]:
                 if info.masked and info.mask_index is not None
                 else None
             )
-            sites.extend(_expand(instr, vt, cats, info.stored_value_index, mask))
+            targets.append((instr, vt, cats, info.stored_value_index, mask))
             continue
 
         # Ordinary Lvalue target.
         if not instr.has_lvalue() or not instr.type.is_first_class():
             continue
-        cats = classify_instruction(instr)
+        cats = classify_instruction(instr, reach=reach)
         mask = None
         if info is not None and info.masked and info.mask_index is not None:
             mask = MaskSpec(info.mask_index, info.mask_convention)
-        sites.extend(_expand(instr, instr.type, cats, None, mask))
-    return sites
+        targets.append((instr, instr.type, cats, None, mask))
+    return targets
+
+
+def enumerate_sites(fn: Function) -> list[StaticSite]:
+    """All static fault sites of a function, in program order."""
+    return [site for target in _targets(fn) for site in _expand(*target)]
+
+
+def _module_targets(module: Module, functions: list[str] | None) -> list[_Target]:
+    """Every instrumentable register of the module's (selected) defined
+    functions, enumerated once per module version and function selection.
+
+    The cache lives on the module; any IR mutation bumps
+    ``module.version`` and so invalidates it.  Sites are expanded from it
+    afresh on every call, since each engine numbers its own sites.
+    """
+    key = (module.version, None if functions is None else tuple(functions))
+    cached = getattr(module, "_site_targets", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    targets = [
+        target
+        for fn in module.defined_functions()
+        if functions is None or fn.name in functions
+        for target in _targets(fn)
+    ]
+    module._site_targets = (key, targets)
+    return targets
 
 
 def enumerate_module_sites(
     module: Module, functions: list[str] | None = None
 ) -> list[StaticSite]:
     """Sites across the module's defined functions (optionally restricted)."""
-    sites: list[StaticSite] = []
-    for fn in module.defined_functions():
-        if functions is not None and fn.name not in functions:
-            continue
-        sites.extend(enumerate_sites(fn))
-    return sites
+    return [
+        site
+        for target in _module_targets(module, functions)
+        for site in _expand(*target)
+    ]
+
+
+def module_sites(
+    module: Module, category: str, functions: list[str] | None = None
+) -> list[StaticSite]:
+    """``filter_sites(enumerate_module_sites(module, functions), category)``,
+    expanding only the registers the category keeps."""
+    _check_category(category)
+    return [
+        site
+        for target in _module_targets(module, functions)
+        if category == "all" or category in target[2]
+        for site in _expand(*target)
+    ]
+
+
+def _check_category(category: str) -> None:
+    if category != "all" and category not in CATEGORIES:
+        raise ValueError(f"unknown site category {category!r}")
 
 
 def filter_sites(sites: list[StaticSite], category: str) -> list[StaticSite]:
     """Apply one of the §II-C site-selection heuristics."""
+    _check_category(category)
     if category == "all":
         return list(sites)
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown site category {category!r}")
     return [s for s in sites if category in s.categories]
 
 

@@ -4,6 +4,9 @@ This package is the substrate the paper's tooling operates on: a typed SSA
 IR with first-class fixed-length vectors, the memory/address instructions
 (`getelementptr`, masked loads/stores), shuffles, and a verifier plus a
 printer/parser pair for text round-trips.
+
+The text parser loads on first use of :func:`parse_module`: compiling and
+running programs never parses IR text.
 """
 
 from .builder import IRBuilder
@@ -40,7 +43,6 @@ from .intrinsics import (
     is_intrinsic_name,
 )
 from .module import BasicBlock, Function, Module
-from .parser import parse_module
 from .printer import format_function, format_instruction, format_module, print_module
 from .types import (
     F32,
@@ -79,6 +81,15 @@ from .values import (
     zeroinitializer,
 )
 from .verifier import verify_function, verify_module
+
+
+def __getattr__(name: str):
+    if name == "parse_module":
+        from .parser import parse_module
+
+        return parse_module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "IRBuilder",

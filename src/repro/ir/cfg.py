@@ -40,16 +40,38 @@ def reverse_post_order(fn: Function) -> list[BasicBlock]:
 
 
 class DominatorTree:
-    """Immediate dominators + dominance frontiers for one function."""
+    """Immediate dominators + dominance frontiers for one function.
 
-    def __init__(self, fn: Function):
+    Built in time linear in the CFG (plus the CHK fixpoint): the
+    predecessor map, the dominator-tree children (in RPO order) and a
+    preorder interval per block are computed once here, so
+    :meth:`children` and :meth:`dominates` are table lookups.  The
+    frontiers, which only phi placement asks for, are computed on the
+    first :meth:`frontier` call.  ``preds`` is the function's
+    :meth:`~repro.ir.module.Function.predecessor_map`, when the caller
+    already holds it.
+    """
+
+    def __init__(
+        self, fn: Function, preds: dict[int, list[BasicBlock]] | None = None
+    ):
         self.function = fn
         self.rpo = reverse_post_order(fn)
         self._index = {id(b): i for i, b in enumerate(self.rpo)}
+        if preds is None:
+            preds = fn.predecessor_map()
+        #: Reachable predecessors of each reachable block.
+        self._preds = {
+            id(b): [p for p in preds.get(id(b), ()) if id(p) in self._index]
+            for b in self.rpo
+        }
         self.idom: dict[int, BasicBlock] = {}
         self._compute_idoms()
-        self.frontiers: dict[int, list[BasicBlock]] = {}
-        self._compute_frontiers()
+        self._children: dict[int, list[BasicBlock]] = {id(b): [] for b in self.rpo}
+        for block in self.rpo[1:]:
+            self._children[id(self.idom[id(block)])].append(block)
+        self._compute_intervals()
+        self._frontiers: dict[int, list[BasicBlock]] | None = None
 
     # -- Cooper-Harvey-Kennedy "engineered" iterative algorithm -------------
 
@@ -66,16 +88,12 @@ class DominatorTree:
         entry = self.function.entry
         self.idom[id(entry)] = entry
         changed = True
-        preds_of = {
-            id(b): [p for p in b.predecessors() if id(p) in self._index]
-            for b in self.rpo
-        }
         while changed:
             changed = False
             for block in self.rpo:
                 if block is entry:
                     continue
-                preds = [p for p in preds_of[id(block)] if id(p) in self.idom]
+                preds = [p for p in self._preds[id(block)] if id(p) in self.idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -85,20 +103,35 @@ class DominatorTree:
                     self.idom[id(block)] = new_idom
                     changed = True
 
-    def _compute_frontiers(self) -> None:
+    def _compute_intervals(self) -> None:
+        """Preorder number and subtree end of every block in the tree:
+        ``a`` dominates ``b`` iff ``b``'s number lies in ``a``'s interval."""
+        self._pre: dict[int, int] = {}
+        self._end: dict[int, int] = {}
+        stack: list[tuple[BasicBlock, bool]] = [(self.function.entry, False)]
+        while stack:
+            block, done = stack.pop()
+            if done:
+                self._end[id(block)] = len(self._pre)
+                continue
+            self._pre[id(block)] = len(self._pre)
+            stack.append((block, True))
+            stack.extend((child, False) for child in self._children[id(block)])
+
+    def _compute_frontiers(self) -> dict[int, list[BasicBlock]]:
+        frontiers: dict[int, list[BasicBlock]] = {id(b): [] for b in self.rpo}
         for block in self.rpo:
-            self.frontiers[id(block)] = []
-        for block in self.rpo:
-            preds = [p for p in block.predecessors() if id(p) in self._index]
+            preds = self._preds[id(block)]
             if len(preds) < 2:
                 continue
             for pred in preds:
                 runner = pred
                 while runner is not self.idom[id(block)]:
-                    front = self.frontiers[id(runner)]
+                    front = frontiers[id(runner)]
                     if block not in front:
                         front.append(block)
                     runner = self.idom[id(runner)]
+        return frontiers
 
     # -- queries ----------------------------------------------------------------
 
@@ -108,23 +141,21 @@ class DominatorTree:
         return self.idom.get(id(block))
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """Whether ``a`` dominates ``b`` (reflexive)."""
-        runner: BasicBlock | None = b
-        while runner is not None:
-            if runner is a:
-                return True
-            if runner is self.function.entry:
-                return False
-            runner = self.idom.get(id(runner))
-        return False
+        """Whether ``a`` dominates ``b`` (reflexive; an unreachable block
+        dominates only itself and is dominated only by itself)."""
+        if a is b:
+            return True
+        pre_a = self._pre.get(id(a))
+        pre_b = self._pre.get(id(b))
+        if pre_a is None or pre_b is None:
+            return False
+        return pre_a <= pre_b < self._end[id(a)]
 
     def frontier(self, block: BasicBlock) -> list[BasicBlock]:
-        return list(self.frontiers.get(id(block), []))
+        if self._frontiers is None:
+            self._frontiers = self._compute_frontiers()
+        return list(self._frontiers.get(id(block), []))
 
     def children(self, block: BasicBlock) -> list[BasicBlock]:
-        """Blocks immediately dominated by ``block``."""
-        return [
-            b
-            for b in self.rpo
-            if b is not self.function.entry and self.idom.get(id(b)) is block
-        ]
+        """Blocks immediately dominated by ``block``, in RPO order."""
+        return list(self._children.get(id(block), ()))

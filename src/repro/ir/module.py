@@ -175,6 +175,23 @@ class Function(Value):
             i += 1
         return f"{base}{i}"
 
+    def predecessor_map(self) -> dict[int, list[BasicBlock]]:
+        """``id(block)`` -> the block's predecessors, for every block at once.
+
+        One pass over the terminators; each list is in block order and
+        holds a predecessor once even when both arms of its ``condbr``
+        lead to the block, exactly as :meth:`BasicBlock.predecessors`.
+        Blocks without predecessors have no entry.  A snapshot: rebuild
+        it after changing the CFG.
+        """
+        preds: dict[int, list[BasicBlock]] = {}
+        for block in self.blocks:
+            for succ in block.successors():
+                into = preds.setdefault(id(succ), [])
+                if not into or into[-1] is not block:
+                    into.append(block)
+        return preds
+
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions
@@ -244,8 +261,10 @@ class Module:
     def __getstate__(self) -> dict:
         # The decode cache holds closures; never let it ride along a pickle
         # (parallel campaign workers ship pristine modules between processes).
+        # The site cache is rebuilt on first use, like the decode cache.
         state = self.__dict__.copy()
         state.pop("_vm_decoded", None)
+        state.pop("_site_targets", None)
         return state
 
     def add_function(

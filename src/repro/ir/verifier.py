@@ -12,6 +12,10 @@ the test-suite verifies every module it builds.  Checks:
 * use-def bookkeeping is consistent in both directions;
 * every definition dominates each of its uses (classic SSA property);
 * calls reference functions of the enclosing module.
+
+Linear in the function's size: one predecessor map, one set of use
+records per operand value, and dominance answered by the dominator tree's
+preorder intervals.
 """
 
 from __future__ import annotations
@@ -44,33 +48,41 @@ def _function_problems(fn: Function, module: Module | None) -> list[str]:
     if not fn.blocks:
         return [f"{where}: defined function has no blocks"]
 
-    if fn.entry.predecessors():
+    preds_of = fn.predecessor_map()
+    if id(fn.entry) in preds_of:
         problems.append(f"{where}: entry block has predecessors")
 
     block_set = {id(b) for b in fn.blocks}
-    defined_in: dict[int, BasicBlock] = {}
+    #: id(instruction) -> (block, index), for the dominance checks.
+    positions: dict[int, tuple[BasicBlock, int]] = {}
+    # Each operand's use records as a set, built on first sight, so the
+    # forward bookkeeping check costs one lookup per operand.
+    use_records: dict[int, set[tuple[Instruction, int]]] = {}
 
     for block in fn.blocks:
         bwhere = f"{where}:{block.name}"
-        term = block.terminator
-        if term is None:
+        instructions = block.instructions
+        if block.terminator is None:
             problems.append(f"{bwhere}: block is not terminated")
+        last = len(instructions) - 1
         seen_non_phi = False
-        for i, instr in enumerate(block.instructions):
+        for i, instr in enumerate(instructions):
+            positions[id(instr)] = (block, i)
             if instr.parent is not block:
                 problems.append(f"{bwhere}: instruction #{i} has wrong parent link")
-            if instr.is_terminator and instr is not block.instructions[-1]:
+            if i != last and instr.is_terminator:
                 problems.append(f"{bwhere}: terminator in mid-block at #{i}")
             if isinstance(instr, Phi):
                 if seen_non_phi:
                     problems.append(f"{bwhere}: phi {instr.ref()} after non-phi")
             else:
                 seen_non_phi = True
-            if instr.has_lvalue():
-                defined_in[id(instr)] = block
             # Use-def bookkeeping, forward direction.
             for idx, op in enumerate(instr.operands):
-                if (instr, idx) not in op.uses:
+                records = use_records.get(id(op))
+                if records is None:
+                    records = use_records[id(op)] = set(op._uses)
+                if (instr, idx) not in records:
                     problems.append(
                         f"{bwhere}: operand {idx} of {instr.opcode} missing its use record"
                     )
@@ -86,7 +98,7 @@ def _function_problems(fn: Function, module: Module | None) -> list[str]:
 
     # Phi edges match predecessors.
     for block in fn.blocks:
-        preds = block.predecessors()
+        preds = preds_of.get(id(block), [])
         pred_ids = sorted(id(p) for p in preds)
         for phi in block.phis():
             incoming_ids = sorted(id(b) for b in phi.incoming_blocks)
@@ -99,32 +111,27 @@ def _function_problems(fn: Function, module: Module | None) -> list[str]:
 
     # SSA dominance. Unreachable blocks are skipped (no dominator relation).
     if not problems:
-        dom = DominatorTree(fn)
+        dom = DominatorTree(fn, preds_of)
         reachable = {id(b) for b in dom.rpo}
-        positions = {
-            id(instr): (block, i)
-            for block in fn.blocks
-            for i, instr in enumerate(block.instructions)
-        }
         for block in fn.blocks:
             if id(block) not in reachable:
                 continue
             for i, instr in enumerate(block.instructions):
                 for idx, op in enumerate(instr.operands):
-                    if not isinstance(op, Instruction):
-                        if not isinstance(op, (Constant, Argument)):
+                    position = positions.get(id(op))
+                    if position is None:
+                        if isinstance(op, Instruction):
+                            problems.append(
+                                f"@{fn.name}:{block.name}: {instr.opcode} uses detached "
+                                f"value {op.ref()}"
+                            )
+                        elif not isinstance(op, (Constant, Argument)):
                             problems.append(
                                 f"@{fn.name}:{block.name}: operand {idx} of "
                                 f"{instr.opcode} is not a constant/argument/instruction"
                             )
                         continue
-                    if id(op) not in positions:
-                        problems.append(
-                            f"@{fn.name}:{block.name}: {instr.opcode} uses detached "
-                            f"value {op.ref()}"
-                        )
-                        continue
-                    def_block, def_pos = positions[id(op)]
+                    def_block, def_pos = position
                     if id(def_block) not in reachable:
                         continue
                     if isinstance(instr, Phi):

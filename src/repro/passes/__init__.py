@@ -1,4 +1,8 @@
-"""Mid-end optimization passes (the MiniISPC -O pipeline)."""
+"""Mid-end optimization passes (the MiniISPC -O pipeline).
+
+The auto-vectorizer (:mod:`repro.passes.vectorize`) loads on first use of
+one of its names: the -O pipeline never runs it.
+"""
 
 from .constfold import constant_fold
 from .dce import dead_code_elimination
@@ -10,14 +14,24 @@ from .simplifycfg import (
     remove_unreachable_blocks,
     simplify_cfg,
 )
-from .vectorize import (
-    LoopReport,
-    VectorizeReport,
-    auto_vectorize_pass,
-    auto_vectorized,
-    vectorize_function,
-    vectorize_module,
+
+_VECTORIZE_NAMES = (
+    "LoopReport",
+    "VectorizeReport",
+    "auto_vectorize_pass",
+    "auto_vectorized",
+    "vectorize_function",
+    "vectorize_module",
 )
+
+
+def __getattr__(name: str):
+    if name in _VECTORIZE_NAMES:
+        from . import vectorize
+
+        return getattr(vectorize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "constant_fold",

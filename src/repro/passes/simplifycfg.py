@@ -63,40 +63,49 @@ def fold_single_incoming_phis(fn: Function) -> bool:
 
 def merge_straightline_blocks(fn: Function) -> bool:
     """Merge B into A when A ends in `br B`, B is A's only successor, and A
-    is B's only predecessor."""
-    changed = True
+    is B's only predecessor.
+
+    One scan in block order.  After a merge A ends in B's old terminator
+    and is checked again, so chains fold into their head; a merge changes
+    no other block's candidacy (B's successors trade predecessor B for A),
+    so this is the same set and order of merges as rescanning from the
+    first block after each one.
+    """
+    preds = fn.predecessor_map()
     any_change = False
-    while changed:
-        changed = False
-        for a in fn.blocks:
-            term = a.terminator
-            if not isinstance(term, Branch):
-                continue
-            b = term.target
-            if b is a or b is fn.entry:
-                continue
-            preds = b.predecessors()
-            if len(preds) != 1 or preds[0] is not a:
-                continue
-            if b.phis():
-                # Single-incoming phis are folded by the sibling transform
-                # first; if any remain, skip.
-                continue
-            term.erase()
-            for instr in list(b.instructions):
-                b.remove(instr)
-                a.instructions.append(instr)
-                instr.parent = a
-            # Phis in B's successors must re-point their incoming edge to A.
-            for succ in a.successors():
-                for phi in succ.phis():
-                    for i, inc in enumerate(phi.incoming_blocks):
-                        if inc is b:
-                            phi.incoming_blocks[i] = a
-            fn.remove_block(b)
-            changed = True
-            any_change = True
-            break
+    i = 0
+    while i < len(fn.blocks):
+        a = fn.blocks[i]
+        term = a.terminator
+        b = term.target if isinstance(term, Branch) else None
+        if (
+            b is None
+            or b is a
+            or b is fn.entry
+            or preds.get(id(b)) != [a]
+            # Single-incoming phis are folded by the sibling transform
+            # first; if any remain, skip.
+            or b.phis()
+        ):
+            i += 1
+            continue
+        term.erase()
+        for instr in list(b.instructions):
+            b.remove(instr)
+            a.instructions.append(instr)
+            instr.parent = a
+        # Phis in B's successors must re-point their incoming edge to A.
+        for succ in a.successors():
+            for phi in succ.phis():
+                for j, inc in enumerate(phi.incoming_blocks):
+                    if inc is b:
+                        phi.incoming_blocks[j] = a
+            into = preds[id(succ)]
+            if b in into:
+                into[into.index(b)] = a
+        fn.remove_block(b)
+        i = fn.blocks.index(a)
+        any_change = True
     return any_change
 
 

@@ -151,7 +151,9 @@ def register(workload: Workload) -> Workload:
 
 
 def get_workload(name: str) -> Workload:
-    _ensure_loaded()
+    _ensure_loaded(generated=False)
+    if name not in _REGISTRY:
+        _ensure_loaded()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -180,7 +182,7 @@ def all_workloads(suite: str | None = None) -> list[Workload]:
 
 def benchmark_workloads() -> list[Workload]:
     """The nine Table-I benchmarks, in the paper's order."""
-    _ensure_loaded()
+    _ensure_loaded(generated=False)
     order = [
         "fluidanimate",
         "swaptions",
@@ -224,11 +226,12 @@ def registry_fingerprint() -> str:
 
 def micro_workloads() -> list[Workload]:
     """The §IV-E micro-benchmarks: vector copy, dot product, vector sum."""
-    _ensure_loaded()
+    _ensure_loaded(generated=False)
     return [_REGISTRY[n] for n in ("vcopy", "dot_product", "vector_sum")]
 
 
 _loaded = False
+_generated_loaded = False
 #: Serializes the lazy bulk registration: without it a second thread
 #: could observe a half-populated registry mid-import (the campaign
 #: service resolves workloads from concurrent executor threads).
@@ -237,26 +240,32 @@ _loaded = False
 _load_lock = threading.RLock()
 
 
-def _ensure_loaded() -> None:
-    global _loaded
-    if _loaded:
+def _ensure_loaded(generated: bool = True) -> None:
+    """Register the MiniISPC workloads and, unless ``generated`` is
+    false, the generated family too.  Callers that only need named
+    MiniISPC workloads skip the generated family, whose module pulls in
+    the IR program generator."""
+    global _loaded, _generated_loaded
+    if _loaded and (_generated_loaded or not generated):
         return
     with _load_lock:
-        if _loaded:
-            return
-        # Import for registration side effects.
-        from . import (  # noqa: F401
-            blackscholes,
-            cg,
-            chebyshev,
-            fluidanimate,
-            generated,
-            jacobi,
-            micro,
-            raytracing,
-            sorting,
-            stencil,
-            swaptions,
-        )
+        if not _loaded:
+            # Import for registration side effects.
+            from . import (  # noqa: F401
+                blackscholes,
+                cg,
+                chebyshev,
+                fluidanimate,
+                jacobi,
+                micro,
+                raytracing,
+                sorting,
+                stencil,
+                swaptions,
+            )
 
-        _loaded = True
+            _loaded = True
+        if generated and not _generated_loaded:
+            from . import generated as _generated  # noqa: F401
+
+            _generated_loaded = True

@@ -111,6 +111,40 @@ class TestPromotion:
         assert Interpreter(m).run("f", [1, 7]) == 7
         assert Interpreter(m).run("f", [0, 7]) == 42
 
+    def test_copies_between_promoted_slots(self):
+        """A slot's stored value may be the load of an earlier slot (``y``
+        copies ``x``) or of a later one (``x`` copies ``z``): all three
+        promote in one renaming walk and the copies resolve to registers."""
+        m = Module("t")
+        fn = m.add_function("f", FunctionType(I32, (I1, I32)), ["c", "a"])
+        entry = fn.add_block("entry")
+        then = fn.add_block("then")
+        join = fn.add_block("join")
+        b = IRBuilder(entry)
+        x = b.alloca(I32, name="x")
+        y = b.alloca(I32, name="y")
+        z = b.alloca(I32, name="z")
+        b.store(fn.args[1], x)
+        b.store(b.i32(7), z)
+        b.store(b.load(x), y)
+        b.condbr(fn.args[0], then, join)
+        b.position_at_end(then)
+        b.store(b.load(z), x)
+        b.br(join)
+        b.position_at_end(join)
+        b.ret(b.add(b.load(x), b.load(y)))
+        original = clone_module(m)
+        assert promote_allocas(fn)
+        verify_module(m)
+        assert not any(
+            i.opcode in ("alloca", "load", "store") for i in fn.instructions()
+        )
+        assert [p.name for p in join.phis()] == ["x"]
+        for c in (0, 1):
+            want = Interpreter(original).run("f", [c, 5])
+            assert want == (12 if c else 10)
+            assert Interpreter(m).run("f", [c, 5]) == want
+
     def test_uninitialized_load_reads_zero(self):
         m = Module("t")
         fn = m.add_function("f", FunctionType(I32, ()), [])

@@ -1,16 +1,21 @@
-"""Process start-up stays free of scipy and networkx.
+"""Process start-up imports only what a campaign process runs.
 
 scipy is a test-only oracle for the in-repo campaign statistics, and its
 import used to be most of every process start.  A fresh interpreter loads
 the CLI and the service, runs one convergence-gated campaign whose stopping
 rule evaluates both the t-based margin and the Shapiro-Wilk check, and then
-must not have either package in ``sys.modules``.
+must have neither package in ``sys.modules``.  Nor may it hold the modules
+such a process never executes: the IR text parser, the auto-vectorizer,
+the experiment drivers, and the generated workload family with its program
+generator.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -47,14 +52,37 @@ assert all(calls.values()), calls  # the stopping rule really ran
 print(",".join(sorted(
     {name.split(".")[0] for name in sys.modules} & {"scipy", "networkx"}
 )))
+print(",".join(sorted(set(sys.modules) & {
+    "repro.ir.parser",
+    "repro.passes.vectorize",
+    "repro.experiments.ablations",
+    "repro.experiments.bitpos",
+    "repro.experiments.fig10",
+    "repro.experiments.fig11",
+    "repro.experiments.fig12",
+    "repro.experiments.table1",
+    "repro.experiments.vecdiff",
+    "repro.workloads.generated",
+    "repro.ir.generate",
+})))
 """
 
 
-def test_campaign_process_never_imports_scipy_or_networkx():
+@pytest.fixture(scope="module")
+def loaded() -> list[str]:
+    """The probe's two lines: unwanted packages, unwanted modules."""
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "", f"loaded at start-up: {out.stdout.strip()}"
+    return out.stdout.split("\n")
+
+
+def test_campaign_process_never_imports_scipy_or_networkx(loaded):
+    assert loaded[0] == "", f"loaded at start-up: {loaded[0]}"
+
+
+def test_campaign_process_never_imports_unused_program_modules(loaded):
+    assert loaded[1] == "", f"loaded at start-up: {loaded[1]}"
